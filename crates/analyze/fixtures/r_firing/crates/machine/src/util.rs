@@ -1,11 +1,22 @@
-//! The laundering helper: reads the host clock two frames below the
-//! kernel root. D001 is pragma-allowed so the corpus isolates the
-//! R-family (transitive) diagnostic.
+//! The laundering helpers: read the host clock and draw entropy-seeded
+//! randomness one or two frames below the kernel root.
 pub fn stamp() {
     helper_now();
 }
 
 fn helper_now() {
-    // psc-analyze: allow(D001) seeded for the R001 fixture expectation
     let _t = Instant::now();
+}
+
+pub fn draw() -> u64 {
+    jitter() as u64 + entropy_seeded()
+}
+
+fn jitter() -> f64 {
+    let mut rng = rand::thread_rng();
+    rng.gen()
+}
+
+fn entropy_seeded() -> u64 {
+    SmallRng::from_entropy().next_u64()
 }

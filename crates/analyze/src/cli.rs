@@ -86,7 +86,6 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
     // The analyzer is a host tool: timing its own wall clock is the
     // one sanctioned self-measurement (it never touches results).
     #[allow(clippy::disallowed_methods)]
-    // psc-analyze: allow(D001)
     let t0 = std::time::Instant::now();
     let findings = analyze_workspace(&root).map_err(|e| format!("analyzing workspace: {e}"))?;
     let elapsed_ms = t0.elapsed().as_millis() as u64;

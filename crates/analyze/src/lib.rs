@@ -6,19 +6,21 @@
 //! run cache, the `--jobs 1` vs `--jobs 8` byte-identity gates, and the
 //! fault-injection ablations all break silently if a wall-clock read,
 //! an unseeded RNG, an unordered iteration, or an unhashed `RunSpec`
-//! field sneaks in. This crate enforces those invariants at CI time
-//! with a dependency-light analyzer (no `syn` — a small hand-rolled
-//! token scanner, see [`scan`]) and its rule families (see [`rules`],
-//! [`cachekey`] — which also owns the P002 policy-encoding check —
-//! and [`metricsrule`] for the metrics observation-only boundary).
+//! field sneaks in. Each invariant has one mechanism: `clippy.toml`
+//! bans host clocks and hash-ordered collections, the crate graph
+//! enforces layering, and this crate covers the rest at CI time with a
+//! dependency-light analyzer (no `syn` — a small hand-rolled token
+//! scanner, see [`scan`]) and its rule families (see [`rules`],
+//! [`reach`], [`layering`] for the crate edges, [`cachekey`] — which
+//! also owns the P002 policy-encoding check — and [`metricsrule`] for
+//! the metrics observation-only boundary).
 //!
 //! ## Suppressions
 //!
-//! * `// psc-analyze: allow(D001)` — suppresses the rule on that line
+//! * `// psc-analyze: allow(U001)` — suppresses the rule on that line
 //!   and the next one (so the pragma can sit above the offending line).
-//! * `// psc-analyze: allow-file(D001)` — suppresses the rule for the
-//!   whole file; this is the per-file allowlist for legitimate host
-//!   timing (`psc_experiments::timing`) and configuration reads.
+//! * `// psc-analyze: allow-file(U001)` — suppresses the rule for the
+//!   whole file.
 //! * a committed baseline (`analyze-baseline.json`) grandfathers
 //!   individual findings by `(rule, file, line)` without hiding them.
 //!
@@ -32,6 +34,7 @@
 pub mod cachekey;
 pub mod callgraph;
 pub mod cli;
+pub mod layering;
 pub mod metricsrule;
 pub mod modres;
 pub mod parse;
@@ -43,7 +46,7 @@ pub mod suspend;
 pub mod unsafety;
 
 pub use report::{Baseline, BaselineEntry, Finding, Report, Severity};
-pub use rules::{FileCtx, SIM_CRATES};
+pub use rules::FileCtx;
 
 use std::path::{Path, PathBuf};
 
@@ -178,9 +181,10 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> std::io::Result
 }
 
 /// Run the full analysis over the workspace at `root`: the per-token
-/// rules over every source file, the structural cache-key checks over
-/// the runner and fault crates, and the interprocedural R/X families
-/// over the whole-workspace call graph.
+/// rules over every source file, the crate-edge rule over every
+/// manifest, the structural cache-key checks over the runner and fault
+/// crates, and the interprocedural R/X families over the
+/// whole-workspace call graph.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut sources: Vec<(String, String)> = Vec::new();
@@ -194,6 +198,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let allows: std::collections::BTreeMap<&str, Allows> =
         sources.iter().map(|(p, s)| (p.as_str(), Allows::parse(s))).collect();
     let ir = modres::WorkspaceIr::build(root)?;
+    findings.extend(layering::check(ir.deps()));
     let graph = callgraph::CallGraph::build(&ir);
     let inter = reach::check(&ir, &graph).into_iter().chain(suspend::check(&ir, &graph));
     findings.extend(inter.filter(|f| allows.get(f.file.as_str()).is_none_or(|a| !a.covers(f))));
@@ -242,24 +247,25 @@ mod tests {
 
     #[test]
     fn inline_allow_covers_same_and_next_line() {
-        let src = "fn f() {\n    // psc-analyze: allow(D001) legit host timing\n    let t = Instant::now();\n    let u = Instant::now();\n}\n";
+        let src = "pub struct S {\n    // psc-analyze: allow(U001) legacy wire name\n    pub power: f64,\n    pub energy: f64,\n}\n";
         let f = analyze_source("crates/cli/src/main.rs", src);
-        assert_eq!(f.len(), 1, "only the unpragma'd read fires: {f:?}");
+        assert_eq!(f.len(), 1, "only the unpragma'd field fires: {f:?}");
         assert_eq!(f[0].line, 4);
     }
 
     #[test]
     fn file_allow_covers_everything() {
-        let src = "//! psc-analyze: allow-file(D001)\nfn f() { let t = Instant::now(); }\nfn g() { let t = SystemTime::now(); }\n";
-        assert!(analyze_source("crates/experiments/src/timing.rs", src).is_empty());
+        let src = "//! psc-analyze: allow-file(T001)\nuse std::thread;\nfn g() { let t = SystemTime::now(); }\n";
+        assert!(analyze_source("crates/mpi/src/des/mod.rs", src).is_empty());
     }
 
     #[test]
     fn allow_of_one_rule_keeps_the_other() {
-        let src = "// psc-analyze: allow(D004)\nuse std::collections::HashMap;\nfn f() { let t = Instant::now(); }\n";
-        let f = analyze_source("crates/mpi/src/x.rs", src);
+        let src =
+            "// psc-analyze: allow(T001)\nuse std::thread;\npub fn total_energy() -> f64 { 0.0 }\n";
+        let f = analyze_source("crates/mpi/src/des/mod.rs", src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "D001");
+        assert_eq!(f[0].rule, "U001");
     }
 
     #[test]

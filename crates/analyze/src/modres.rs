@@ -14,7 +14,7 @@
 
 use crate::parse::{self, Call, CallKind, FileItems, FnItem};
 use crate::scan::{self, Tok};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// One parsed source file.
@@ -60,10 +60,14 @@ pub struct WorkspaceIr {
     methods_by_ty: BTreeMap<(String, String), Vec<FnId>>,
     /// Methods by bare name.
     methods_by_name: BTreeMap<String, Vec<FnId>>,
-    /// crate dir → set of crate dirs it may call into (its `psc-*`
-    /// dependencies plus itself).
-    deps: BTreeMap<String, BTreeSet<String>>,
+    /// crate dir → the crate dirs it may call into (its `psc-*`
+    /// `[dependencies]` plus itself), each with its manifest line.
+    deps: CrateDeps,
 }
+
+/// crate dir → `psc-*` dependency dir → 1-based line of the entry in
+/// that crate's `Cargo.toml` (0 for the crate itself).
+pub type CrateDeps = BTreeMap<String, BTreeMap<String, u32>>;
 
 /// The crate identifier (as written in Rust paths) for a crate dir.
 pub fn crate_ident(crate_dir: &str) -> String {
@@ -149,6 +153,12 @@ impl WorkspaceIr {
         }
     }
 
+    /// The crate dependency relation loaded by [`Self::build`] (empty
+    /// for [`Self::from_sources`]).
+    pub fn deps(&self) -> &CrateDeps {
+        &self.deps
+    }
+
     /// The function item behind an id.
     pub fn item(&self, id: &str) -> Option<(&FileIr, &FnItem)> {
         let r = self.fns.get(id)?;
@@ -162,7 +172,7 @@ impl WorkspaceIr {
         if from_dir == to_dir || self.deps.is_empty() {
             return true;
         }
-        self.deps.get(from_dir).is_some_and(|d| d.contains(to_dir))
+        self.deps.get(from_dir).is_some_and(|d| d.contains_key(to_dir))
     }
 
     fn crate_dir_of_id(&self, id: &str) -> &str {
@@ -322,10 +332,10 @@ pub fn fn_id(file: &FileIr, f: &FnItem) -> FnId {
 }
 
 /// Parse each crate's `Cargo.toml` for its `psc-*` dependencies (plus
-/// the root package). A line-oriented scan is enough: every dependency
-/// on a workspace crate mentions its `psc-<dir>` name.
-fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
-    let mut deps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+/// the root package). Only the `[dependencies]` section counts: a
+/// dev-dependency is visible to tests, never to the library code the
+/// analyzer reads.
+fn crate_deps(root: &Path) -> CrateDeps {
     let mut dirs: Vec<(String, std::path::PathBuf)> = Vec::new();
     if let Ok(rd) = std::fs::read_dir(root.join("crates")) {
         for e in rd.filter_map(|e| e.ok()) {
@@ -336,26 +346,35 @@ fn crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
         }
     }
     dirs.push((String::new(), root.join("Cargo.toml")));
+    let mut deps = CrateDeps::new();
     for (dir, manifest) in dirs {
-        let mut set = BTreeSet::new();
-        set.insert(dir.clone());
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            for line in text.lines() {
-                let line = line.trim();
-                if let Some(rest) = line.strip_prefix("psc-") {
-                    if let Some(dep) =
-                        rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).next()
-                    {
-                        if !dep.is_empty() {
-                            set.insert(dep.to_string());
-                        }
-                    }
-                }
-            }
-        }
-        deps.insert(dir, set);
+        let mut own = manifest_deps(&std::fs::read_to_string(&manifest).unwrap_or_default());
+        own.insert(dir.clone(), 0);
+        deps.insert(dir, own);
     }
     deps
+}
+
+/// The `psc-*` entries of a manifest's `[dependencies]` section, by
+/// crate dir, with their 1-based lines. A line-oriented scan is enough:
+/// every dependency on a workspace crate starts with its `psc-<dir>`
+/// name.
+pub fn manifest_deps(text: &str) -> BTreeMap<String, u32> {
+    let mut out = BTreeMap::new();
+    let mut in_deps = false;
+    for (idx, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.starts_with('[') {
+            in_deps = line == "[dependencies]";
+            continue;
+        }
+        let Some(rest) = line.strip_prefix("psc-").filter(|_| in_deps) else { continue };
+        let dep = rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).next();
+        if let Some(dep) = dep.filter(|d| !d.is_empty()) {
+            out.entry(dep.to_string()).or_insert(idx as u32 + 1);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -423,5 +442,16 @@ mod tests {
         let (file, f) = ir.item("psc_cli::f").unwrap();
         assert!(ir.resolve(file, None, &f.calls[0]).is_empty());
         assert!(ir.resolve(file, None, &f.calls[1]).is_empty());
+    }
+
+    #[test]
+    fn only_the_dependencies_section_counts() {
+        let manifest = "[package]\nname = \"psc-serve\"\n\n[dependencies]\n\
+                        psc-runner.workspace = true\npsc-kernels = { path = \"../kernels\" }\n\n\
+                        [dev-dependencies]\npsc-mpi.workspace = true\n";
+        let deps = manifest_deps(manifest);
+        let expect: BTreeMap<String, u32> =
+            [("kernels".to_string(), 6), ("runner".to_string(), 5)].into_iter().collect();
+        assert_eq!(deps, expect);
     }
 }

@@ -1,10 +1,10 @@
 //! R family — transitive purity over the call graph.
 //!
-//! The D rules catch a banned identifier *in the file that writes it*.
-//! They cannot see impurity laundered through a helper: a kernel that
+//! A per-file ban sees a banned call only *in the file that writes
+//! it*, and cannot tell whether a simulation reaches it: a kernel that
 //! calls `util::jitter()` in another crate, where `jitter` reads the
-//! host clock, is D001-clean file by file and still breaks replay. The
-//! R rules close that hole with whole-program reachability: any
+//! environment, is clean file by file and still breaks replay. The R
+//! rules close that hole with whole-program reachability: any
 //! function reachable from the simulation roots must not reach a
 //! banned sink, except through the explicitly allowlisted chokepoints,
 //! and every finding reports the complete call chain so the laundering
@@ -26,7 +26,7 @@
 //! **Chokepoints** — reached but never expanded through, and exempt
 //! from sink matching inside them:
 //! * `crates/experiments/src/timing.rs` — `HostTimer`, the sanctioned
-//!   host-timing seam (D001's allowlist, generalized);
+//!   host-timing seam;
 //! * `crates/faults/src/rng.rs` — the counter-keyed fault RNG (F001's
 //!   sanctioned module);
 //! * `crates/runner/src/metrics.rs` — `EngineMetrics`, the M001
@@ -38,8 +38,11 @@
 //! Method-call edges are name-resolved without type inference, so they
 //! over-approximate. For the distinctively-named sinks (R001–R004)
 //! that is harmless; for R005 — where half the workspace has a method
-//! named `get` or `set` — sink matching uses path-precise edges only,
-//! and the M001 token rule covers the method-shaped remainder.
+//! named `get` or `set` — sink matching uses path-precise edges only.
+//! The method-shaped remainder needs a `psc-metrics` value in hand,
+//! which only the runner can hold: L001 keeps every other simulation
+//! crate from depending on psc-metrics, and M001 keeps the runner's
+//! result paths free of it.
 
 use crate::callgraph::{CallGraph, Target};
 use crate::modres::{FnId, WorkspaceIr};

@@ -8,7 +8,7 @@ use std::fmt;
 /// conventions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Severity {
-    /// A convention or hygiene violation (unit suffixes, env reads).
+    /// A convention or hygiene violation (unit suffixes).
     Warning,
     /// A correctness hazard: nondeterminism or a stale-cache bug.
     Error,
@@ -26,7 +26,7 @@ impl fmt::Display for Severity {
 /// One diagnostic: a rule violation at a `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Rule id, e.g. `D001`.
+    /// Rule id, e.g. `R001`.
     pub rule: String,
     /// Severity class.
     pub severity: Severity,
@@ -147,12 +147,12 @@ mod tests {
     #[test]
     fn baseline_round_trips_and_matches() {
         let b = Baseline {
-            findings: vec![BaselineEntry { rule: "D003".into(), file: "a.rs".into(), line: 7 }],
+            findings: vec![BaselineEntry { rule: "U001".into(), file: "a.rs".into(), line: 7 }],
         };
         let back = Baseline::from_json(&b.to_json()).unwrap();
         assert_eq!(b, back);
-        let hit = Finding::new("D003", Severity::Warning, "a.rs", 7, "env read");
-        let miss = Finding::new("D003", Severity::Warning, "a.rs", 8, "env read");
+        let hit = Finding::new("U001", Severity::Warning, "a.rs", 7, "bare unit");
+        let miss = Finding::new("U001", Severity::Warning, "a.rs", 8, "bare unit");
         assert!(b.covers(&hit));
         assert!(!b.covers(&miss));
     }
@@ -160,12 +160,12 @@ mod tests {
     #[test]
     fn report_splits_and_sorts() {
         let b = Baseline {
-            findings: vec![BaselineEntry { rule: "D001".into(), file: "z.rs".into(), line: 1 }],
+            findings: vec![BaselineEntry { rule: "R001".into(), file: "z.rs".into(), line: 1 }],
         };
         let findings = vec![
-            Finding::new("D001", Severity::Error, "z.rs", 1, "clock"),
+            Finding::new("R001", Severity::Error, "z.rs", 1, "clock"),
             Finding::new("U001", Severity::Warning, "a.rs", 9, "suffix"),
-            Finding::new("D004", Severity::Warning, "a.rs", 2, "hashmap"),
+            Finding::new("L001", Severity::Error, "a.rs", 2, "crate edge"),
         ];
         let r = Report::against(findings, &b);
         assert_eq!(r.fresh.len(), 2);

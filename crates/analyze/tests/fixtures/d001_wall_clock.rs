@@ -1,8 +1,9 @@
-//! Fixture: every wall-clock read below must trip D001.
+//! Fixture: every wall-clock read below must fail clippy's
+//! `disallowed-methods` (CI compiles this file with `clippy-driver`
+//! against the workspace `clippy.toml` and requires the failure).
 
 pub fn elapsed_s() -> f64 {
     let started = std::time::Instant::now();
     let _ = std::time::SystemTime::now();
-    let _epoch = std::time::UNIX_EPOCH;
     started.elapsed().as_secs_f64()
 }

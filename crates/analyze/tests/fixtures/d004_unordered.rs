@@ -1,5 +1,6 @@
-//! Fixture: unordered collections inside a simulation crate must trip
-//! D004 (the integration test scans this as a `crates/runner` file).
+//! Fixture: hash-ordered collections must fail clippy's
+//! `disallowed-types` (CI compiles this file with `clippy-driver`
+//! against the workspace `clippy.toml` and requires the failure).
 
 use std::collections::HashMap;
 

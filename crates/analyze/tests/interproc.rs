@@ -6,17 +6,21 @@
 //! policy) so the C/M/P checks stay quiet and the asserted findings
 //! isolate the family under test:
 //!
-//! * `r_firing` / `r_clean` — transitive purity (R001/R003/R004/R005):
-//!   the sinks are laundered through helpers in *other* crates, token-
-//!   clean file by file, visible only to the call-graph rules; the
-//!   clean twin reaches a host clock solely through the sanctioned
-//!   timing chokepoint.
+//! * `r_firing` / `r_clean` — transitive purity (R001–R005): the sinks
+//!   are laundered through helpers in *other* crates, clean file by
+//!   file, visible only to the call-graph rules; the clean twin reaches
+//!   a host clock solely through the sanctioned timing chokepoint.
 //! * `x_firing` / `x_clean` — suspension safety (X001/X002/X003): a
 //!   guard held across `Yielder::suspend` / `arch::switch`, vs. scoped
 //!   and explicitly dropped guards.
 //! * `w_firing` / `w_clean` — unsafe hygiene (W001/W002): unjustified
 //!   unsafety in the allowlisted core and justified-but-misplaced
 //!   unsafety outside it, vs. documented allowlisted unsafety.
+//! * `l_firing` / `l_clean` — layering through the crate graph (L001):
+//!   serve → mpi, policy → mpi and machine → metrics in
+//!   `[dependencies]`, vs. serve → mpi and machine → metrics as
+//!   dev-dependencies and the sanctioned mpi → policy and runner →
+//!   metrics edges.
 //!
 //! Each firing fixture also carries a committed golden `--format json`
 //! report under `fixtures/golden/`, compared byte-for-byte. Regenerate
@@ -51,7 +55,7 @@ fn rules(f: &[Finding]) -> Vec<&str> {
 #[test]
 fn r_firing_reports_each_laundered_sink_with_its_chain() {
     let f = findings("r_firing");
-    assert_eq!(rules(&f), vec!["R001", "R003", "R004", "R005"], "{f:?}");
+    assert_eq!(rules(&f), vec!["R001", "R002", "R002", "R003", "R004", "R005"], "{f:?}");
 
     let r001 = f.iter().find(|f| f.rule == "R001").unwrap();
     assert_eq!(r001.file, "crates/machine/src/util.rs");
@@ -63,6 +67,13 @@ fn r_firing_reports_each_laundered_sink_with_its_chain() {
         "the finding must carry the whole laundering chain: {}",
         r001.message
     );
+
+    let r002: Vec<&str> = f
+        .iter()
+        .filter(|f| f.rule == "R002")
+        .map(|f| f.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    assert_eq!(r002, vec!["rand::thread_rng", "SmallRng::from_entropy"], "{f:?}");
 
     let r005 = f.iter().find(|f| f.rule == "R005").unwrap();
     assert_eq!(r005.file, "crates/kernels/src/jacobi.rs");
@@ -122,6 +133,33 @@ fn w_firing_reports_unjustified_and_misplaced_unsafety() {
 #[test]
 fn w_clean_documented_allowlisted_unsafety_passes() {
     let f = findings("w_clean");
+    assert!(f.is_empty(), "{f:?}");
+}
+
+// ----------------------------------------------------------------
+// L family — layering through the crate graph
+// ----------------------------------------------------------------
+
+#[test]
+fn l_firing_reports_each_forbidden_edge_at_its_manifest_line() {
+    let f = findings("l_firing");
+    let mut got: Vec<(&str, &str)> = f.iter().map(|f| (f.rule.as_str(), f.file.as_str())).collect();
+    got.sort();
+    assert_eq!(
+        got,
+        vec![
+            ("L001", "crates/machine/Cargo.toml"),
+            ("L001", "crates/policy/Cargo.toml"),
+            ("L001", "crates/serve/Cargo.toml"),
+        ],
+        "{f:?}"
+    );
+    assert!(f.iter().all(|f| f.line == 6), "each finding points at its dependency line: {f:?}");
+}
+
+#[test]
+fn l_clean_dev_dependencies_and_sanctioned_edges_pass() {
+    let f = findings("l_clean");
     assert!(f.is_empty(), "{f:?}");
 }
 
@@ -190,7 +228,7 @@ fn real_workspace_call_graph_covers_every_crate() {
 
 #[test]
 fn golden_json_reports_are_byte_stable() {
-    for name in ["r_firing", "x_firing", "w_firing"] {
+    for name in ["r_firing", "x_firing", "w_firing", "l_firing"] {
         let rendered = Report::against(findings(name), &Baseline::default()).render_json();
         let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("fixtures/golden")

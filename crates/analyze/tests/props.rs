@@ -7,7 +7,7 @@ use psc_analyze::{analyze_source, Baseline, BaselineEntry, Finding, Report, Seve
 
 fn entry_strategy() -> impl Strategy<Value = BaselineEntry> {
     (
-        prop_oneof![Just("D001"), Just("R001"), Just("X003"), Just("W002")],
+        prop_oneof![Just("U001"), Just("R001"), Just("X003"), Just("W002")],
         prop_oneof![
             Just("crates/mpi/src/des/coro.rs"),
             Just("crates/kernels/src/cg.rs"),
@@ -55,7 +55,7 @@ proptest! {
             .map(|e| Finding::new(&e.rule, Severity::Error, &e.file, e.line, "seeded"))
             .collect();
         for l in &extra_lines {
-            findings.push(Finding::new("D004", Severity::Warning, "crates/mpi/src/x.rs", *l, "x"));
+            findings.push(Finding::new("L001", Severity::Error, "crates/mpi/Cargo.toml", *l, "x"));
         }
         let total = findings.len();
         let r = Report::against(findings, &baseline);
@@ -64,9 +64,10 @@ proptest! {
         prop_assert!(r.fresh.iter().all(|f| !baseline.covers(f)));
     }
 
-    /// Line-pragma suppression: a file of `Instant::now()` reads, a
-    /// random subset carrying `// psc-analyze: allow(D001)` on the line
-    /// above — exactly the unpragma'd reads fire, at their own lines.
+    /// Line-pragma suppression: a DES scheduler file of host-clock
+    /// reads, a random subset carrying `// psc-analyze: allow(T001)` on
+    /// the line above — exactly the unpragma'd reads fire, at their own
+    /// lines.
     #[test]
     fn allow_pragmas_cover_exactly_their_lines(
         pattern in proptest::collection::vec(0u32..2, 1..20),
@@ -77,7 +78,7 @@ proptest! {
         let mut line = 1u32;
         for s in &suppressed {
             if *s {
-                src.push_str("    // psc-analyze: allow(D001)\n");
+                src.push_str("    // psc-analyze: allow(T001)\n");
                 line += 1;
             }
             src.push_str("    let _t = Instant::now();\n");
@@ -87,9 +88,9 @@ proptest! {
             }
         }
         src.push_str("}\n");
-        let fired: Vec<u32> = analyze_source("crates/mpi/src/x.rs", &src)
+        let fired: Vec<u32> = analyze_source("crates/mpi/src/des/x.rs", &src)
             .into_iter()
-            .filter(|f| f.rule == "D001")
+            .filter(|f| f.rule == "T001")
             .map(|f| f.line)
             .collect();
         prop_assert_eq!(fired, expected);

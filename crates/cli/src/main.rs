@@ -10,7 +10,7 @@
 //! powerscale model --bench SP --predict 32            fit the paper's model, extrapolate
 //! powerscale advise --upm 8.6 --delay 0.05            gear advice from memory pressure
 //! powerscale budget --bench CG --power-cap 600        fastest config under a power cap
-//! powerscale analyze --deny                           workspace determinism/unit lints
+//! powerscale analyze --deny                           workspace purity/layering/unit lints
 //! powerscale list                                     available benchmarks
 //! ```
 //!
@@ -133,10 +133,11 @@ USAGE:
   are deterministic — identical results at any --jobs and on either
   backend — and policy-driven runs occupy their own cache keyspace.
 
-  Static analysis: `powerscale analyze` scans the workspace sources for
-  determinism hazards (wall-clock reads, unseeded RNG, unordered
-  collections in simulation crates), unit-suffix discipline on public
-  quantities, cache-key completeness, and fault-stream purity. --deny
+  Static analysis: `powerscale analyze` scans the workspace for
+  determinism hazards reachable from a simulation (host clocks,
+  unseeded RNG, environment reads, threads), forbidden crate
+  dependencies, unit-suffix discipline on public quantities, cache-key
+  completeness, and fault-stream purity. --deny
   exits non-zero on fresh findings; --baseline FILE tolerates the
   findings recorded in FILE. See DESIGN.md for the rule catalogue.
 
@@ -148,7 +149,7 @@ USAGE:
   --self-trace-out a flamegraph of the engine's own resolve/worker
   spans (Trace Event JSON, open in Perfetto), --events-out a structured
   JSONL event log. Metrics are observation-only: results are
-  byte-identical with or without them (analyzer rule M001).
+  byte-identical with or without them (analyzer rules L001, M001, R005).
 
   Sweep as a service: `powerscale serve` turns the engine into a
   long-running job server speaking a JSONL protocol — one JSON object
@@ -432,8 +433,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 /// engine, then report what the engine itself did — cache hit rate,
 /// per-kernel wall-time histograms, queue behaviour, worker-pool
 /// utilization, disk-I/O breakdown. The simulated results are
-/// unaffected by the observation (analyzer rule M001); run it twice to
-/// see the cold-vs-warm cache difference.
+/// unaffected by the observation (analyzer rules L001, M001, R005);
+/// run it twice to see the cold-vs-warm cache difference.
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let bench = parse_bench(args)?;
     let class = parse_class(args)?;

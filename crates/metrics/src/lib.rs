@@ -26,19 +26,20 @@
 //! * [`jsonl`] — a structured JSONL event log (`--events-out`): one
 //!   JSON object per line, spans and metric samples interleaved, for
 //!   machine consumption without a trace viewer.
-//! * [`clock`] — the crate's **only** wall-clock access, file-allowlisted
-//!   for analyzer rule D001 exactly like
+//! * [`clock`] — the crate's **only** wall-clock access, exempted from
+//!   `clippy.toml`'s clock ban exactly like
 //!   `psc_experiments::timing::HostTimer`.
 //!
-//! ## The observation-only contract (analyzer rule M001)
+//! ## The observation-only contract (analyzer rules L001, M001, R005)
 //!
 //! Metrics observe the host; they must never steer the simulation.
 //! Nothing metrics-derived may enter a cache key, a `RunSpec`, or a
 //! `RunResult` — figure CSVs are byte-identical with metrics enabled or
-//! disabled, at any worker count. `psc-analyze` rule M001 enforces this
-//! boundary statically: simulation crates other than the runner may not
-//! reference this crate at all, and inside the runner the cache-key and
-//! spec-execution paths must stay metrics-free.
+//! disabled, at any worker count. `psc-analyze` enforces this boundary
+//! statically: simulation crates other than the runner may not depend
+//! on this crate at all (L001, a crate edge), inside the runner the
+//! cache-key and spec-execution paths must stay metrics-free (M001),
+//! and no metrics call may be reachable from a simulation root (R005).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

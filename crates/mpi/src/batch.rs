@@ -24,7 +24,6 @@ use std::sync::OnceLock;
 /// bit-identical at any worker count, so this read configures only
 /// host-side scheduling, never what a run computes.
 pub fn default_jobs() -> usize {
-    // psc-analyze: allow(D003) worker-pool sizing, not run semantics
     match std::env::var("PSC_JOBS").ok().and_then(|v| v.parse::<usize>().ok()) {
         Some(n) if n >= 1 => n,
         _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),

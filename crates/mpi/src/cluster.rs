@@ -9,12 +9,12 @@
 use crate::comm::{Comm, Fabric};
 use crate::des;
 use crate::network::NetworkModel;
-use crate::policyhook::ClusterPolicy;
 use crate::router::{MatchBuffer, Router};
 use crate::trace::RankTrace;
 use psc_faults::FaultPlan;
 use psc_machine::wattmeter::cluster_energy_j;
 use psc_machine::{Counters, NodeSpec, PowerTrace, Wattmeter};
+use psc_policy::ClusterPolicy;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -313,7 +313,7 @@ impl Cluster {
     /// on every rank: the policy chooses each rank's *initial* gear
     /// (overriding the configured selection) and is then consulted at
     /// every phase boundary and MPI-call exit through the hook in
-    /// [`crate::policyhook`]. A straggler entry in the fault plan still
+    /// [`psc_policy::hook`]. A straggler entry in the fault plan still
     /// wins over the policy's initial gear — a fault pins hardware, and
     /// the policy has to live with it. `policy: None` is exactly
     /// [`Cluster::run_with_faults`].
@@ -1181,9 +1181,9 @@ mod fault_tests {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
-    use crate::policyhook::{ClusterPolicy, InertRankPolicy, Observation, PolicyEvent, RankPolicy};
     use crate::reduce::ReduceOp;
     use psc_machine::WorkBlock;
+    use psc_policy::{ClusterPolicy, InertRankPolicy, Observation, PolicyEvent, RankPolicy};
 
     fn cluster(backend: RuntimeBackend) -> Cluster {
         Cluster::athlon_fast_ethernet().with_backend(backend)

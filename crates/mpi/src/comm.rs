@@ -21,7 +21,6 @@
 use crate::des::DesEndpoint;
 use crate::network::NetworkModel;
 use crate::payload::Payload;
-use crate::policyhook::{Observation, PolicyEvent, RankPolicy};
 use crate::reduce::ReduceOp;
 use crate::router::{Envelope, MatchBuffer, Router};
 use crate::trace::{
@@ -30,6 +29,7 @@ use crate::trace::{
 use crossbeam::channel::Receiver;
 use psc_faults::RankFaults;
 use psc_machine::{Counters, Gear, NodeSpec, PowerTrace, WorkBlock};
+use psc_policy::{Observation, PolicyEvent, RankPolicy};
 use std::sync::Arc;
 
 /// The message transport behind a [`Comm`], chosen by the cluster
@@ -196,7 +196,7 @@ impl Comm {
     /// Install this rank's half of an online gear policy. Called by the
     /// cluster driver before the program runs; from then on the hook is
     /// consulted at every phase boundary and traced MPI-call exit (see
-    /// [`crate::policyhook`]). The initial gear is *not* set here — the
+    /// [`psc_policy::hook`]). The initial gear is *not* set here — the
     /// driver resolves it through `ClusterPolicy::initial_gear` before
     /// constructing the communicator, so no spurious shift is recorded.
     pub(crate) fn set_policy(&mut self, hook: Box<dyn RankPolicy>) {

@@ -50,7 +50,6 @@ pub mod comm;
 pub(crate) mod des;
 pub mod network;
 pub mod payload;
-pub mod policyhook;
 pub mod reduce;
 pub mod router;
 pub mod trace;
@@ -64,7 +63,9 @@ pub use comm::{Comm, RecvRequest};
 /// [`BackendStats::stack_high_water_bytes`]).
 pub use des::coro::STACK_BYTES as DES_STACK_BYTES;
 pub use network::NetworkModel;
-pub use policyhook::{ClusterPolicy, InertRankPolicy, Observation, PolicyEvent, RankPolicy};
+// The policy hook contract lives in psc-policy so that policies cannot
+// depend on this runtime.
+pub use psc_policy::{ClusterPolicy, InertRankPolicy, Observation, PolicyEvent, RankPolicy};
 pub use reduce::ReduceOp;
 pub use trace::{
     FaultEvent, FaultKind, GearShift, MpiOp, PhaseSpan, PolicyDecision, RankTrace, TraceEvent,

@@ -16,61 +16,8 @@
 //! * the *critical/reducible* split used by the refined model: reducible
 //!   work is "computation between the last send and a blocking point".
 
+pub use psc_policy::MpiOp;
 use serde::{Deserialize, Serialize};
-
-/// The kind of message-passing operation an event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MpiOp {
-    /// Asynchronous point-to-point send (never blocks the sender beyond
-    /// injection cost).
-    Send,
-    /// Blocking point-to-point receive.
-    Recv,
-    /// Combined send+receive (halo exchange).
-    SendRecv,
-    /// Nonblocking receive post (returns immediately).
-    Irecv,
-    /// Completion wait for a nonblocking receive.
-    Wait,
-    /// Barrier synchronization.
-    Barrier,
-    /// One-to-all broadcast.
-    Bcast,
-    /// All-to-one reduction.
-    Reduce,
-    /// All-to-all reduction.
-    Allreduce,
-    /// All-gather.
-    Allgather,
-    /// All-to-all personalized exchange.
-    Alltoall,
-    /// Prefix reduction (scan / exscan).
-    Scan,
-    /// Gather to a root.
-    Gather,
-    /// Scatter from a root.
-    Scatter,
-    /// Finalize (trailing barrier).
-    Finalize,
-}
-
-impl MpiOp {
-    /// Whether this operation can block waiting on remote progress.
-    /// Sends are asynchronous (the paper's assumption) and so is
-    /// posting a nonblocking receive; everything else is a *blocking
-    /// point* for the reducible-work analysis.
-    pub fn is_blocking(self) -> bool {
-        !matches!(self, MpiOp::Send | MpiOp::Irecv)
-    }
-
-    /// Whether this operation synchronizes *all* ranks of the job (a
-    /// collective). These are the cluster-wide sync points at which
-    /// budget-redistribution policies act: every rank observes the same
-    /// count of them, in the same order.
-    pub fn is_collective(self) -> bool {
-        !matches!(self, MpiOp::Send | MpiOp::Recv | MpiOp::SendRecv | MpiOp::Irecv | MpiOp::Wait)
-    }
-}
 
 /// One intercepted message-passing call.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -137,7 +84,7 @@ pub struct GearShift {
 }
 
 /// One effective decision of an online gear policy
-/// ([`crate::policyhook::RankPolicy`]): the policy requested a gear
+/// ([`crate::RankPolicy`]): the policy requested a gear
 /// different from the one the rank was running at. Recorded *before*
 /// the DVFS transition stall is charged, so the matching [`GearShift`]
 /// lands at `t_s + stall_s` — the invariant the policy property tests
@@ -572,49 +519,5 @@ mod tests {
         assert_eq!(t.decisions()[0].to_gear, 4);
         let back: RankTrace = serde::json::from_str(&serde::json::to_string(&t)).unwrap();
         assert_eq!(back, t);
-    }
-
-    #[test]
-    fn point_to_point_ops_are_not_collective() {
-        for op in [MpiOp::Send, MpiOp::Recv, MpiOp::SendRecv, MpiOp::Irecv, MpiOp::Wait] {
-            assert!(!op.is_collective(), "{op:?}");
-        }
-        for op in [
-            MpiOp::Barrier,
-            MpiOp::Bcast,
-            MpiOp::Reduce,
-            MpiOp::Allreduce,
-            MpiOp::Allgather,
-            MpiOp::Alltoall,
-            MpiOp::Scan,
-            MpiOp::Gather,
-            MpiOp::Scatter,
-            MpiOp::Finalize,
-        ] {
-            assert!(op.is_collective(), "{op:?}");
-        }
-    }
-
-    #[test]
-    fn send_is_not_blocking_everything_else_is() {
-        assert!(!MpiOp::Send.is_blocking());
-        assert!(!MpiOp::Irecv.is_blocking());
-        for op in [
-            MpiOp::Recv,
-            MpiOp::Wait,
-            MpiOp::SendRecv,
-            MpiOp::Barrier,
-            MpiOp::Bcast,
-            MpiOp::Reduce,
-            MpiOp::Allreduce,
-            MpiOp::Allgather,
-            MpiOp::Alltoall,
-            MpiOp::Scan,
-            MpiOp::Gather,
-            MpiOp::Scatter,
-            MpiOp::Finalize,
-        ] {
-            assert!(op.is_blocking(), "{op:?} should be blocking");
-        }
     }
 }

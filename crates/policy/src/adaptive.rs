@@ -28,8 +28,8 @@
 //! Decisions are memoized per phase name after first profile, so the
 //! policy never flip-flops between gears for the same phase.
 
+use crate::hook::{Observation, PolicyEvent, RankPolicy};
 use psc_machine::{NodeSpec, WorkBlock};
-use psc_mpi::{Observation, PolicyEvent, RankPolicy};
 use std::collections::BTreeMap;
 
 /// One profiled phase: the work its counters described and the time it

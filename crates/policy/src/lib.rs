@@ -9,9 +9,9 @@
 //! describes a policy declaratively (so it can ride inside a
 //! `RunSpec`, serialize into cache keys, and cross the serve-protocol
 //! boundary); at run time it is compiled into per-rank
-//! [`psc_mpi::RankPolicy`] instances that the `psc-mpi` runtime calls
-//! at phase boundaries and MPI-call exits with read-only
-//! [`psc_mpi::Observation`] snapshots.
+//! [`RankPolicy`] instances that the `psc-mpi` runtime calls at phase
+//! boundaries and MPI-call exits with read-only [`Observation`]
+//! snapshots. That hook contract lives in [`hook`], below the runtime.
 //!
 //! Four policies are provided:
 //!
@@ -33,23 +33,26 @@
 //!
 //! Determinism: every policy decision is a pure function of the
 //! observations received so far. No host clocks, no RNGs, no shared
-//! mutable state — `psc-analyze` rule P001 bans the corresponding
-//! idents from this crate.
+//! mutable state. The crate depends only on `psc-machine` and `serde`,
+//! so the cluster, the communicator's gear setter, and the fault RNG
+//! are unnameable here (`psc-analyze` rule L001 keeps that dependency
+//! edge out).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod adaptive;
+pub mod hook;
 pub mod oracle;
 pub mod powercap;
 
 pub use adaptive::PhaseAdaptiveRank;
+pub use hook::{ClusterPolicy, InertRankPolicy, MpiOp, Observation, PolicyEvent, RankPolicy};
 pub use oracle::{OracleRank, OracleStep};
 pub use powercap::PowerCapRank;
 
 use psc_machine::NodeSpec;
-use psc_mpi::{ClusterPolicy, InertRankPolicy, RankPolicy};
 use serde::{Deserialize, Serialize};
 
 /// Default per-phase slowdown limit for [`PolicySpec::PhaseAdaptive`]:

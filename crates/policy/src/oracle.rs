@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use psc_mpi::{Observation, PolicyEvent, RankPolicy};
+use crate::hook::{Observation, PolicyEvent, RankPolicy};
 
 /// One step of an oracle schedule: at the `phase`-th phase start
 /// (0-based), shift to `gear`.
@@ -64,8 +64,8 @@ impl RankPolicy for OracleRank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hook::MpiOp;
     use psc_machine::{presets, Counters, NodeSpec};
-    use psc_mpi::MpiOp;
 
     fn start_obs<'a>(
         node: &'a NodeSpec,

@@ -25,8 +25,8 @@
 //! the cap invariant is never violated: requested gears are always at
 //! or below (slower than) the cap gear.
 
+use crate::hook::{Observation, RankPolicy};
 use psc_machine::NodeSpec;
-use psc_mpi::{Observation, RankPolicy};
 
 /// A rank donates headroom when it was blocked for more than this
 /// fraction of the window since the last sync point…
@@ -94,8 +94,8 @@ impl RankPolicy for PowerCapRank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hook::{MpiOp, PolicyEvent};
     use psc_machine::{presets, Counters};
-    use psc_mpi::{MpiOp, PolicyEvent};
 
     fn sync_obs<'a>(
         node: &'a NodeSpec,

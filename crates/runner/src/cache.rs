@@ -13,8 +13,7 @@
 //!   atomic temp-file + rename), which lets separate processes — the
 //!   figure binaries, say — share results. Entries are sharded into 256
 //!   subdirectories by the key's top byte so concurrent writers (the
-//!   job server's worker lanes) never contend on one directory; entries
-//!   found at the pre-shard flat path are migrated on first read.
+//!   job server's worker lanes) never contend on one directory.
 //!
 //! The cache is *memoization*, not verification: it assumes the kernel
 //! implementations have not changed since a result was written. Wipe
@@ -35,11 +34,7 @@ use std::sync::{Arc, Mutex};
 /// analyzer rule U001), so v2 power traces no longer deserialize.
 /// v4: disk entries live in 256 key-prefix shard subdirectories so
 /// concurrent writers (the job server's lanes) stop contending on one
-/// directory. The `RunResult` bytes are unchanged; a lookup that misses
-/// its shard falls back to the legacy flat `<dir>/<key>.json` path and
-/// migrates a parseable entry into its shard atomically, so any
-/// pre-shard directory (same key space) heals in place instead of being
-/// wiped.
+/// directory. The `RunResult` bytes are unchanged.
 /// v5: `RankTrace` gained the policy decision log (online DVFS policy
 /// layer), so v4 entries no longer deserialize; `RunSpec` gained the
 /// `policy` field, appended to the key as `|policy=<json>` when set
@@ -173,12 +168,10 @@ impl RunCache {
     /// results are stored, never *what* a run computes, so they cannot
     /// break the determinism invariant.
     pub fn from_env() -> Self {
-        // psc-analyze: allow(D003) cache placement, not run semantics
         match std::env::var("PSC_CACHE") {
             Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => return RunCache::in_memory(),
             _ => {}
         }
-        // psc-analyze: allow(D003) cache placement, not run semantics
         let dir = std::env::var("PSC_CACHE_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("target/psc-run-cache"));
@@ -325,54 +318,24 @@ impl RunCache {
         dir.join(format!("{:02x}", key >> 56))
     }
 
-    /// The v4 entry path: `<dir>/<shard>/<key>.json`.
+    /// The entry path: `<dir>/<shard>/<key>.json`.
     fn entry_path(dir: &Path, key: u64) -> PathBuf {
         Self::shard_dir(dir, key).join(format!("{key:016x}.json"))
-    }
-
-    /// The pre-v4 flat path: `<dir>/<key>.json`. Read-only fallback;
-    /// nothing writes here anymore.
-    fn legacy_path(dir: &Path, key: u64) -> PathBuf {
-        dir.join(format!("{key:016x}.json"))
     }
 
     fn read_disk(&self, key: u64) -> DiskEntry {
         let Some(dir) = self.disk.as_ref() else { return DiskEntry::Absent };
         let sw = self.hooks.lock().unwrap().as_ref().and_then(|h| h.stopwatch());
-        let (text, legacy) = match std::fs::read_to_string(Self::entry_path(dir, key)) {
-            Ok(text) => (text, false),
-            // Shard miss: fall back to the unsharded (pre-v4) location.
-            Err(_) => match std::fs::read_to_string(Self::legacy_path(dir, key)) {
-                Ok(text) => (text, true),
-                Err(_) => return DiskEntry::Absent,
-            },
+        let Ok(text) = std::fs::read_to_string(Self::entry_path(dir, key)) else {
+            return DiskEntry::Absent;
         };
         // A corrupt or schema-stale entry is a miss; the fresh result
         // will overwrite it.
         let parsed = serde::json::from_str::<RunResult>(&text);
         self.with_hooks(|h| h.add_disk_read(sw));
         match parsed {
-            Ok(run) => {
-                if legacy {
-                    // Migrate: publish into the shard atomically, then
-                    // retire the flat entry. Crash-safe at every step —
-                    // until the rename lands the flat entry still
-                    // serves, and a re-read after the remove hits the
-                    // shard.
-                    self.publish_entry(dir, key, &text);
-                    let _ = std::fs::remove_file(Self::legacy_path(dir, key));
-                }
-                DiskEntry::Ok(run)
-            }
-            Err(_) => {
-                if legacy {
-                    // A damaged flat entry can never heal in place (the
-                    // overwrite goes to the shard); retire it so it
-                    // stops shadowing nothing.
-                    let _ = std::fs::remove_file(Self::legacy_path(dir, key));
-                }
-                DiskEntry::Corrupt
-            }
+            Ok(run) => DiskEntry::Ok(run),
+            Err(_) => DiskEntry::Corrupt,
         }
     }
 
@@ -501,34 +464,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A warm pre-v4 directory (flat `<key>.json` entries) keeps
-    /// serving: the fallback read hits, and the entry is migrated into
-    /// its shard so the flat file disappears.
-    #[test]
-    fn legacy_flat_entries_migrate_into_shards_on_read() {
-        let dir = std::env::temp_dir().join(format!("psc-cache-migrate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = some_run();
-        let key = 0xabcd_0000_0000_0007u64;
-        let flat = dir.join(format!("{key:016x}.json"));
-        std::fs::write(&flat, serde::json::to_string(&*run)).unwrap();
-
-        let cache = RunCache::with_disk(&dir);
-        let got = cache.lookup(key).expect("flat entry readable via fallback");
-        assert_eq!(*got, *run);
-        assert_eq!(cache.stats().disk_hits, 1, "fallback read is a disk hit");
-        assert!(!flat.exists(), "flat entry retired after migration");
-        let sharded = dir.join(format!("{:02x}", key >> 56)).join(format!("{key:016x}.json"));
-        assert!(sharded.is_file(), "entry now lives in its shard");
-
-        // A fresh instance (fresh memory layer) hits the shard directly.
-        let reader = RunCache::with_disk(&dir);
-        assert!(reader.lookup(key).is_some());
-        assert_eq!(reader.stats().disk_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Regression (PR 6): stats used to vanish whenever an engine was
     /// rebuilt (each fresh `RunCache` starts at zero), so "how much did
     /// this process simulate?" silently reset. Process-lifetime
@@ -590,7 +525,8 @@ mod tests {
             (5, "[1, 2, 3]".to_string()),              // valid JSON, wrong type
         ];
         for (key, text) in &damages {
-            std::fs::write(dir.join(format!("{key:016x}.json")), text).unwrap();
+            std::fs::create_dir_all(RunCache::shard_dir(&dir, *key)).unwrap();
+            std::fs::write(RunCache::entry_path(&dir, *key), text).unwrap();
         }
 
         let cache = RunCache::with_disk(&dir);
@@ -598,47 +534,7 @@ mod tests {
             assert!(cache.lookup(*key).is_none(), "damaged entry {key} must miss");
         }
         assert_eq!(cache.stats().misses, damages.len() as u64);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// After a corrupt entry misses, re-simulating and inserting must
-    /// atomically overwrite it with a readable entry (no temp litter).
-    /// The damage sits at the *legacy flat* path here, so this also
-    /// pins down that a corrupt pre-shard entry heals into the shard
-    /// and the flat file is retired.
-    #[test]
-    fn corrupt_entry_is_overwritten_atomically_after_miss() {
-        let dir = std::env::temp_dir().join(format!("psc-cache-heal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let key = 77u64;
-        let flat = dir.join(format!("{key:016x}.json"));
-        std::fs::write(&flat, "{ truncated garba").unwrap();
-
-        let cache = RunCache::with_disk(&dir);
-        assert!(cache.lookup(key).is_none(), "corrupt entry is a miss");
-        assert!(!flat.exists(), "corrupt flat entry is retired, not left to shadow");
-        let run = some_run();
-        cache.insert(key, Arc::clone(&run)); // the re-simulated result
-
-        // A fresh instance reads the healed entry from disk.
-        let reader = RunCache::with_disk(&dir);
-        let got = reader.lookup(key).expect("healed entry readable");
-        assert_eq!(*got, *run);
-        // No temp files left behind by the atomic publish — in the top
-        // directory or inside any shard.
-        let mut leftovers = Vec::new();
-        let mut stack = vec![dir.clone()];
-        while let Some(d) = stack.pop() {
-            for e in std::fs::read_dir(&d).unwrap().filter_map(|e| e.ok()) {
-                if e.path().is_dir() {
-                    stack.push(e.path());
-                } else if e.file_name().to_string_lossy().starts_with(".tmp-") {
-                    leftovers.push(e.path());
-                }
-            }
-        }
-        assert!(leftovers.is_empty(), "temp files must not survive: {leftovers:?}");
+        assert_eq!(cache.stats().disk_corrupt, damages.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

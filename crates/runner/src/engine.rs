@@ -367,8 +367,9 @@ impl Engine {
         let resolve_sw = self.metrics.stopwatch();
 
         // Pass 1: resolve each *distinct* key against the cache once;
-        // collect the keys that need an actual run. Ordered map (D004):
-        // nothing result-shaping may iterate in hash order.
+        // collect the keys that need an actual run. Ordered map
+        // (clippy.toml bans HashMap): nothing result-shaping may iterate
+        // in hash order.
         let keys: Vec<u64> = plan.specs.iter().map(|s| self.cache_key(s)).collect();
         let mut resolved: BTreeMap<u64, Arc<RunResult>> = BTreeMap::new();
         let mut to_run: Vec<(u64, &RunSpec)> = Vec::new();

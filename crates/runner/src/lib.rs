@@ -49,3 +49,6 @@ pub use cache::{CacheStats, RunCache};
 pub use engine::{Engine, RunOutcome};
 pub use metrics::{EngineMetrics, PoolUtilization};
 pub use plan::{RunPlan, RunSpec};
+/// The result and gear types a `RunSpec` speaks in, re-exported so
+/// engine clients need no direct dependency on the simulator.
+pub use psc_mpi::{GearSelection, RunResult};

@@ -13,9 +13,11 @@
 //! duplicate work across clients — two clients asking for the same
 //! uncached spec at the same instant trigger exactly one simulation.
 //!
-//! Layering rule (enforced by `psc-analyze` rule S001): nothing in
-//! this crate touches the simulator directly — no cluster
-//! construction, no rank execution. Every result is obtained through
+//! Layering rule (enforced by the crate graph): nothing in this crate
+//! touches the simulator directly — no cluster construction, no rank
+//! execution. `psc-mpi` is a dev-dependency only, so `Cluster` and
+//! `Comm` are unnameable here, and `psc-analyze` rule L001 keeps that
+//! edge out of `[dependencies]`. Every result is obtained through
 //! [`psc_runner::Engine`], so the server can never bypass the
 //! memoization, dedup, or accounting the engine guarantees.
 //!

@@ -29,9 +29,8 @@
 
 use psc_faults::{FaultPlan, DEFAULT_NOISE_LEVEL};
 use psc_kernels::{Benchmark, ProblemClass};
-use psc_mpi::{GearSelection, RunResult};
 use psc_policy::PolicySpec;
-use psc_runner::{RunOutcome, RunSpec};
+use psc_runner::{GearSelection, RunOutcome, RunResult, RunSpec};
 use serde::Value;
 
 /// Scheduling lane for a `run` request.

@@ -214,3 +214,21 @@ fn blank_lines_are_ignored_keepalives() {
     let lines = exchange(&srv, "\n   \n{\"id\":\"k\",\"cmd\":\"ping\"}\n\n");
     assert_eq!(lines, vec!["{\"id\":\"k\",\"ok\":true,\"pong\":true}".to_owned()]);
 }
+
+/// One frame of 200,000 `[` used to overflow the JSON parser's stack
+/// and abort the whole server. It is now an ordinary malformed frame:
+/// an error reply, and the session keeps serving.
+#[test]
+fn deeply_nested_frame_is_rejected_and_the_session_survives() {
+    let srv = server(ServerConfig::default());
+    let input = format!("{}\n{{\"id\":\"n\",\"cmd\":\"ping\"}}\n", "[".repeat(200_000));
+    let lines = exchange(&srv, &input);
+    assert_eq!(
+        lines,
+        vec![
+            "{\"id\":null,\"ok\":false,\"error\":\"malformed frame: serde error: nesting deeper than 128 at byte 128\"}"
+                .to_owned(),
+            "{\"id\":\"n\",\"ok\":true,\"pong\":true}".to_owned(),
+        ]
+    );
+}

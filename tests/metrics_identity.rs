@@ -4,10 +4,10 @@
 //! structurally valid (Prometheus text exposition, Trace Event JSON,
 //! JSONL event log).
 //!
-//! This is the dynamic half of analyzer rule M001 (the static half
-//! lives in `psc-analyze`): if any hook ever steers a simulated result,
-//! these comparisons catch it on the same figure-shaped plan the CI
-//! fault matrix uses.
+//! This is the dynamic half of the metrics boundary (the static half is
+//! `psc-analyze` rules L001, M001 and R005): if any hook ever steers a
+//! simulated result, these comparisons catch it on the same
+//! figure-shaped plan the CI fault matrix uses.
 
 use powerscale::kernels::{Benchmark, ProblemClass};
 use powerscale::metrics::{events_jsonl, render_prometheus, validate_exposition};
