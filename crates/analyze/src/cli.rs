@@ -1,86 +1,44 @@
-//! The shared command-line driver behind both entry points: the
-//! standalone `psc-analyze` binary and `powerscale analyze`.
+//! The analyzer's driver behind `powerscale analyze`: the command line
+//! is parsed by the caller into [`Options`].
 
 use crate::{analyze_workspace, find_workspace_root, Baseline, Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "\
-psc-analyze — workspace static analysis (determinism, units, cache keys)
-
-USAGE:
-  psc-analyze [--deny] [--format text|json] [--baseline FILE] [--root DIR]
-              [--time-budget-ms N]
-
-  --deny               exit non-zero when any non-baselined finding exists
-  --format json        machine-readable output
-  --baseline FILE      grandfather the findings listed in FILE
-  --root DIR           workspace root (default: discovered from the cwd)
-  --time-budget-ms N   fail when the full analysis (including the
-                       interprocedural pass) takes longer than N ms";
-
-/// The usage text, shared by both entry points.
-pub fn usage() -> &'static str {
-    USAGE
+/// What to analyze and how to report it.
+#[derive(Debug, Clone, Default)]
+pub struct Options {
+    /// Fail (exit 1) on any finding not in the baseline.
+    pub deny: bool,
+    /// Render the report as JSON instead of text.
+    pub json: bool,
+    /// Findings to grandfather; a relative path resolves against the root.
+    pub baseline: Option<PathBuf>,
+    /// Workspace root; discovered from the current directory when unset.
+    pub root: Option<PathBuf>,
+    /// Fail when the whole analysis takes longer than this.
+    pub time_budget_ms: Option<u64>,
 }
 
-/// Parse arguments, run the analysis, render the report; returns the
-/// process exit code (0 clean, 1 fresh findings under `--deny`).
-pub fn run(args: &[String]) -> Result<ExitCode, String> {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| args.get(i + 1).cloned().ok_or_else(|| format!("{flag} needs a value")))
-            .transpose()
-    };
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        match a.as_str() {
-            "--deny" => {}
-            "--format" | "--baseline" | "--root" | "--time-budget-ms" => skip = true,
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-    }
-    let deny = args.iter().any(|a| a == "--deny");
-    let json = match value_of("--format")? {
-        None => false,
-        Some(f) if f == "json" => true,
-        Some(f) if f == "text" => false,
-        Some(f) => return Err(format!("unknown format '{f}' (expected text or json)")),
-    };
-    let root = match value_of("--root")? {
-        Some(dir) => PathBuf::from(dir),
+/// Run the analysis and render the report; returns the process exit
+/// code (0 clean, 1 fresh findings under `deny` or over the budget).
+pub fn run(opts: &Options) -> Result<ExitCode, String> {
+    let root = match &opts.root {
+        Some(dir) => dir.clone(),
         None => {
             let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
             find_workspace_root(&cwd)
                 .ok_or("no workspace root found above the current directory")?
         }
     };
-    let baseline = match value_of("--baseline")? {
+    let baseline = match &opts.baseline {
         Some(path) => {
-            let resolved = if PathBuf::from(&path).is_absolute() {
-                PathBuf::from(&path)
-            } else {
-                root.join(&path)
-            };
+            let resolved = root.join(path);
             let text = std::fs::read_to_string(&resolved)
                 .map_err(|e| format!("reading baseline {}: {e}", resolved.display()))?;
             Baseline::from_json(&text)?
         }
         None => Baseline::default(),
-    };
-
-    let budget_ms = match value_of("--time-budget-ms")? {
-        Some(n) => Some(n.parse::<u64>().map_err(|e| format!("--time-budget-ms '{n}': {e}"))?),
-        None => None,
     };
 
     // The analyzer is a host tool: timing its own wall clock is the
@@ -90,19 +48,19 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
     let findings = analyze_workspace(&root).map_err(|e| format!("analyzing workspace: {e}"))?;
     let elapsed_ms = t0.elapsed().as_millis() as u64;
     let report = Report::against(findings, &baseline);
-    if json {
+    if opts.json {
         println!("{}", report.render_json());
     } else {
         print!("{}", report.render_text());
     }
-    if let Some(budget) = budget_ms {
+    if let Some(budget) = opts.time_budget_ms {
         if elapsed_ms > budget {
             eprintln!("analysis wall time {elapsed_ms} ms exceeds the budget of {budget} ms");
             return Ok(ExitCode::FAILURE);
         }
         eprintln!("analysis wall time: {elapsed_ms} ms (budget {budget} ms)");
     }
-    if deny && !report.fresh.is_empty() {
+    if opts.deny && !report.fresh.is_empty() {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)

@@ -25,7 +25,8 @@
 //!   individual findings by `(rule, file, line)` without hiding them.
 //!
 //! Run it as `powerscale analyze [--deny] [--format json] [--baseline
-//! <file>]` or via the standalone `psc-analyze` binary.
+//! <file>]`; the library has no binary of its own ([`cli`] is the
+//! driver the `powerscale` CLI calls).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

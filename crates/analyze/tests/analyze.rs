@@ -110,9 +110,12 @@ fn exit_eq(a: std::process::ExitCode, b: std::process::ExitCode) -> bool {
 }
 
 fn run_deny(root: &Path) -> std::process::ExitCode {
-    let args: Vec<String> =
-        ["--deny", "--root", root.to_str().unwrap()].iter().map(|s| s.to_string()).collect();
-    psc_analyze::cli::run(&args).expect("cli::run")
+    let opts = psc_analyze::cli::Options {
+        deny: true,
+        root: Some(root.to_path_buf()),
+        ..Default::default()
+    };
+    psc_analyze::cli::run(&opts).expect("cli::run")
 }
 
 #[test]

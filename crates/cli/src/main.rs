@@ -1,34 +1,23 @@
 //! `powerscale` — command-line interface to the power-scalable cluster
-//! simulator.
-//!
-//! ```text
-//! powerscale run --bench CG --nodes 4 --gear 2        one measured run
-//! powerscale trace --bench CG --nodes 4 --gear 2      energy attribution + Perfetto trace
-//! powerscale sweep --bench LU --nodes 8               all gears at one node count
-//! powerscale stats --bench CG --nodes 4               engine self-profile of that sweep
-//! powerscale curve --bench MG --max-nodes 8           full node×gear sweep
-//! powerscale model --bench SP --predict 32            fit the paper's model, extrapolate
-//! powerscale advise --upm 8.6 --delay 0.05            gear advice from memory pressure
-//! powerscale budget --bench CG --power-cap 600        fastest config under a power cap
-//! powerscale analyze --deny                           workspace purity/layering/unit lints
-//! powerscale list                                     available benchmarks
-//! ```
-//!
-//! Add `--class test` for the tiny problem sizes (CI-speed runs).
+//! simulator. [`USAGE`] (`powerscale --help`) lists every command with
+//! exactly the flags it reads; every command parses its command line
+//! through [`psc_experiments::args::Args`].
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use psc_analysis::curve::{EnergyTimeCurve, EnergyTimePoint};
 use psc_analysis::pareto::{configs_of, fastest_under_power_cap, pareto_frontier};
 use psc_analysis::plot::ascii_plot;
+use psc_experiments::args::{Args, CliError};
 use psc_experiments::harness::{
-    backend_from_args, class_label, cluster, engine_from_args, faults_from_args, measure_curve,
-    model_for, predicted_curve,
+    backend_from_args, class_label, cluster, engine_from_args, engine_like, faults_from_args,
+    measure_curve, model_for, predicted_curve,
 };
 use psc_faults::{FaultPlan, DEFAULT_NOISE_LEVEL};
-use psc_kernels::{Benchmark, ProblemClass};
+use psc_kernels::{Benchmark, KernelOutput, ProblemClass};
 use psc_model::autogear::{gear_for_delay_budget, min_energy_gear};
-use psc_mpi::ClusterConfig;
+use psc_mpi::{ClusterConfig, RunResult};
+use psc_policy::PolicySpec;
 use psc_runner::{Engine, RunSpec};
 use psc_telemetry::{write_chrome_trace, write_self_trace, RunManifest};
 use std::path::{Path, PathBuf};
@@ -37,49 +26,50 @@ use std::process::ExitCode;
 mod stats;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    // `analyze` picks its own exit code (findings under --deny fail the
-    // run without being an *error*), so it bypasses the Result dispatch.
-    if cmd == "analyze" {
-        return match psc_analyze::cli::run(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    let result = match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "sweep" => cmd_sweep(&args),
-        "stats" => cmd_stats(&args),
-        "trace" => cmd_trace(&args),
-        "curve" => cmd_curve(&args),
-        "model" => cmd_model(&args),
-        "advise" => cmd_advise(&args),
-        "budget" => cmd_budget(&args),
-        "faults" => cmd_faults(&args),
-        "policy" => cmd_policy(&args),
-        "serve" => cmd_serve(&args),
-        "replay" => cmd_replay(&args),
-        "list" => cmd_list(),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
+    match Args::parse(std::env::args().skip(1)).and_then(|a| a.conclude(dispatch(&a))) {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(e.exit_code())
         }
     }
+}
+
+fn dispatch(args: &Args) -> Result<ExitCode, CliError> {
+    let result = match args.positional(0) {
+        // `analyze` picks its own exit code (findings under --deny fail
+        // the run without being an *error*).
+        Some("analyze") => return cmd_analyze(args),
+        Some("run") => cmd_run(args),
+        Some("sweep") => cmd_sweep(args),
+        Some("stats") => cmd_stats(args),
+        Some("trace") => cmd_trace(args),
+        Some("curve") => cmd_curve(args),
+        Some("model") => cmd_model(args),
+        Some("advise") => cmd_advise(args),
+        Some("budget") => cmd_budget(args),
+        Some("faults") => cmd_faults(args),
+        Some("policy") => cmd_policy(args),
+        Some("serve") => cmd_serve(args),
+        Some("replay") => cmd_replay(args),
+        Some("list") => cmd_list(args),
+        Some("help" | "-h") => cmd_help(args),
+        None if args.switch("--help")? => cmd_help(args),
+        None => {
+            eprintln!("{USAGE}");
+            return Ok(ExitCode::from(2));
+        }
+        Some(other) => {
+            Err(CliError::Usage(format!("unknown command '{other}' (see `powerscale --help`)")))
+        }
+    };
+    result.map(|()| ExitCode::SUCCESS)
+}
+
+fn cmd_help(args: &Args) -> Result<(), CliError> {
+    args.finish()?;
+    println!("{USAGE}");
+    Ok(())
 }
 
 const USAGE: &str = "\
@@ -87,107 +77,78 @@ powerscale — energy-time exploration on a simulated power-scalable cluster
 
 USAGE:
   powerscale run    --bench <NAME> [--nodes N] [--gear G] [--class b|test]
+                    [--policy SPEC] [--backend threaded|des] [FAULTS]
                     [--trace-out PATH] [--manifest-out PATH]
-                    [--backend threaded|des]
-  powerscale sweep  --bench <NAME> [--nodes N] [--class b|test] [--jobs J]
+  powerscale trace  --bench <NAME> [--nodes N] [--gear G] [--class b|test]
+                    [--policy SPEC] [--backend threaded|des] [FAULTS]
+                    [--out PATH]
+  powerscale sweep  --bench <NAME> [--nodes N] [--class b|test] [ENGINE]
                     [--trace-out PATH] [--metrics-out PATH]
                     [--self-trace-out PATH] [--events-out PATH]
-  powerscale stats  --bench <NAME> [--nodes N] [--class b|test] [--jobs J]
+  powerscale stats  --bench <NAME> [--nodes N] [--class b|test] [ENGINE]
                     [--metrics-out PATH] [--self-trace-out PATH]
                     [--events-out PATH]
-  powerscale trace  --bench <NAME> [--nodes N] [--gear G] [--class b|test] [--out PATH]
-  powerscale curve  --bench <NAME> [--max-nodes N] [--class b|test] [--jobs J]
-  powerscale model  --bench <NAME> [--predict M] [--class b|test] [--jobs J]
+  powerscale curve  --bench <NAME> [--max-nodes N] [--class b|test] [ENGINE]
+  powerscale model  --bench <NAME> [--predict M] [--class b|test] [ENGINE]
   powerscale advise --upm <UPM> [--delay FRAC]
   powerscale budget --bench <NAME> --power-cap <WATTS> [--max-nodes N]
-                    [--class b|test] [--jobs J]
+                    [--class b|test] [ENGINE]
   powerscale faults [--seed N] [--level FRAC] [--out PATH] | --inspect PATH
   powerscale policy list | describe <NAME>
   powerscale policy run --bench <NAME> --policy <SPEC> [--nodes N] [--gear G]
-                    [--class b|test] [--backend threaded|des]
-  powerscale serve  [--tcp ADDR] [--workers N] [--queue-cap N] [--max-batch N]
+                    [--class b|test] [--backend threaded|des] [FAULTS]
+  powerscale serve  [--tcp ADDR] [--workers N] [--queue-cap N]
+                    [--max-batch N] [ENGINE]
   powerscale replay [--clients N] [--requests N] [--batch N] [--seed N]
                     [--zipf S] [--interactive PCT] [--workers N]
-                    [--queue-cap N] [--min-dedup FRAC] [--quick]
-  powerscale analyze [--deny] [--format text|json] [--baseline FILE] [--root DIR]
+                    [--queue-cap N] [--min-dedup FRAC] [--quick] [ENGINE]
+  powerscale analyze [--deny] [--format text|json] [--baseline FILE]
+                    [--root DIR] [--time-budget-ms N]
   powerscale list
 
-  --trace-out writes a Chrome Trace Event JSON file — open it in Perfetto
-  (ui.perfetto.dev) or chrome://tracing. For sweep, one file per gear is
-  written with `-g<K>` inserted before the extension.
+  FAULTS = [--faults PATH] [--fault-seed N]
+  ENGINE = [--jobs J] [--backend threaded|des] [FAULTS]
 
-  Fault injection: `powerscale faults` generates a deterministic fault
-  plan (JSON) at a noise level, or summarizes one with --inspect. The
-  measuring commands (run, trace, sweep, curve, model, budget) accept
-  --faults <plan.json> to run under a plan and --fault-seed <N> as a
-  shorthand for the default-noise preset at that seed. Identical plan
-  and seed reproduce byte-identical results at any --jobs; fault
-  activations appear in exported traces on the \"fault\" category.
+  --class test       tiny problem sizes (CI speed); the default is class B
+  --jobs J           worker pool size (default: PSC_JOBS, else available
+                     parallelism); results are identical at any J
+  --backend B        how ranks run on the host: `des` coroutines (default)
+                     or one `threaded` OS thread each; results are identical
+  --faults PATH      run under a fault plan written by `powerscale faults`
+  --fault-seed N     the default-noise plan at seed N (re-seeds --faults)
+  --policy SPEC      online gear policy: static:3, phase-adaptive:1.05,
+                     power-cap:400, oracle:0=2,3=5 (see `policy describe`)
+  --trace-out PATH   Chrome Trace Event JSON for Perfetto; sweep writes one
+                     file per gear, with -g<K> before the extension
+  --metrics-out, --self-trace-out, --events-out PATH
+                     engine metrics as Prometheus text, a self-trace
+                     flamegraph, or a JSONL event log (observation only)
+  --deny, --baseline FILE, --time-budget-ms N
+                     analyze fails on findings not in FILE, or when the
+                     analysis takes longer than N ms
 
-  Online gear policies: `powerscale policy list` names the available
-  policy families, `describe` explains one and its argument syntax, and
-  `run` executes a benchmark under a policy that watches the run and
-  moves the gear at phase boundaries and MPI-call exits (shorthands:
-  static:3, phase-adaptive:1.05, power-cap:400, oracle:0=2,3=5). The
-  `run` and `trace` commands accept the same --policy <SPEC>. Decisions
-  are deterministic — identical results at any --jobs and on either
-  backend — and policy-driven runs occupy their own cache keyspace.
-
-  Static analysis: `powerscale analyze` scans the workspace for
-  determinism hazards reachable from a simulation (host clocks,
-  unseeded RNG, environment reads, threads), forbidden crate
-  dependencies, unit-suffix discipline on public quantities, cache-key
-  completeness, and fault-stream purity. --deny
-  exits non-zero on fresh findings; --baseline FILE tolerates the
-  findings recorded in FILE. See DESIGN.md for the rule catalogue.
-
-  Engine observability: `powerscale stats` runs a gear sweep and reports
-  what the *engine* did — cache hit rate, per-kernel wall-time
-  histograms (p50/p95/max), queue wait, worker utilization, disk-I/O
-  time. `sweep` and `stats` also export the raw engine metrics:
-  --metrics-out writes a Prometheus text-exposition snapshot,
-  --self-trace-out a flamegraph of the engine's own resolve/worker
-  spans (Trace Event JSON, open in Perfetto), --events-out a structured
-  JSONL event log. Metrics are observation-only: results are
-  byte-identical with or without them (analyzer rules L001, M001, R005).
-
-  Sweep as a service: `powerscale serve` turns the engine into a
-  long-running job server speaking a JSONL protocol — one JSON object
-  per line — on stdio (default) or a TCP listener (--tcp HOST:PORT,
-  port 0 picks a free port and prints it). Many concurrent clients
-  submit run batches on two lanes (interactive preempts batch); the
-  engine's content-addressed cache and in-flight table collapse
-  duplicate specs across clients, so a spec requested by everyone
-  simulates once. `powerscale replay` is the proof harness: it fires
-  seeded, Zipf-skewed client streams at an in-process server and
-  byte-compares every reply against direct engine execution, failing
-  on any divergence, any duplicated simulation, or a dedup rate under
-  --min-dedup. See EXPERIMENTS.md for a worked example.
-
-  Sweeping commands run independent configurations on a worker pool
-  (--jobs, or the PSC_JOBS environment variable; default = available
-  parallelism) and memoize results in a content-addressed cache under
+  Sweeping commands memoize runs in a content-addressed cache under
   target/psc-run-cache (PSC_CACHE_DIR overrides; PSC_CACHE=0 disables).
-  Results are bit-identical whatever the worker count.
+  `serve` speaks JSONL on stdio or --tcp HOST:PORT (port 0 picks a free
+  port and prints it). `replay` load-tests an in-process server and
+  fails on any reply that differs from direct execution, any duplicated
+  simulation, or a dedup rate under --min-dedup. README.md and DESIGN.md
+  describe each subsystem.
 
-  Rank driver: every measuring command accepts --backend threaded|des
-  to select how ranks execute on the host. `des` (the default) runs all
-  ranks as coroutines of a single-threaded discrete-event scheduler;
-  `threaded` spawns one OS thread per rank (retained for differential
-  testing). The two produce byte-identical results — the backend is a
-  host-throughput knob, never a configuration axis or cache-key input.";
+  Flags are `--name value` pairs or bare `--switch`es. An unknown,
+  repeated or valueless flag, a value given to a switch, or a stray
+  argument is a usage error. Exit status: 0 on success, 1 on an error
+  (a bad flag value, or fresh findings under `analyze --deny`), 2 on a
+  usage error.";
 
-/// Honour the metrics export flags shared by `sweep` and `stats`:
+/// Write the engine metrics exports `sweep` and `stats` take:
 /// `--metrics-out` (Prometheus text exposition), `--self-trace-out`
 /// (engine flamegraph, Trace Event Format), `--events-out` (structured
 /// JSONL event log). Paths echo on stdout; the lines are deterministic
 /// (same path whatever the worker count), so the `--jobs` byte-identity
 /// gates are unaffected.
-fn export_metrics(e: &Engine, args: &[String]) -> Result<(), String> {
-    let wants_export = ["--metrics-out", "--self-trace-out", "--events-out"]
-        .iter()
-        .any(|f| flag(args, f).is_some());
-    if !wants_export {
+fn export_metrics(e: &Engine, [metrics, self_trace, events]: Exports) -> Result<(), CliError> {
+    if metrics.is_none() && self_trace.is_none() && events.is_none() {
         return Ok(());
     }
     let snap = e.metrics().snapshot();
@@ -202,20 +163,28 @@ fn export_metrics(e: &Engine, args: &[String]) -> Result<(), String> {
         }
         std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))
     };
-    if let Some(path) = flag(args, "--metrics-out") {
-        write(&path, psc_metrics::render_prometheus(&snap))?;
+    if let Some(path) = metrics {
+        write(path, psc_metrics::render_prometheus(&snap))?;
         println!("  metrics  {path}");
     }
-    if let Some(path) = flag(args, "--self-trace-out") {
-        write_self_trace(&spans, &snap, Path::new(&path))
+    if let Some(path) = self_trace {
+        write_self_trace(&spans, &snap, Path::new(path))
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("  self-trace {path} (open in Perfetto)");
     }
-    if let Some(path) = flag(args, "--events-out") {
-        write(&path, psc_metrics::events_jsonl(&snap, &spans))?;
+    if let Some(path) = events {
+        write(path, psc_metrics::events_jsonl(&snap, &spans))?;
         println!("  events   {path}");
     }
     Ok(())
+}
+
+/// The `--metrics-out`, `--self-trace-out` and `--events-out` paths.
+type Exports<'a> = [Option<&'a str>; 3];
+
+fn exports(args: &Args) -> Result<Exports<'_>, CliError> {
+    let path = |flag| args.value(flag);
+    Ok([path("--metrics-out")?, path("--self-trace-out")?, path("--events-out")?])
 }
 
 /// A one-line account of what a sweep actually executed.
@@ -231,70 +200,93 @@ fn print_cache_line(e: &Engine) {
     );
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+fn parse_bench(args: &Args) -> Result<Benchmark, CliError> {
+    let name = args.value("--bench")?.ok_or("missing --bench <NAME>")?;
+    Benchmark::parse(name)
+        .ok_or_else(|| format!("unknown benchmark '{name}' (try `powerscale list`)").into())
 }
 
-/// The testbed cluster with any `--backend` override applied — for the
-/// commands (`run`, `trace`) that drive the cluster directly rather
-/// than through an engine.
-fn cluster_from_args(args: &[String]) -> psc_mpi::Cluster {
-    match backend_from_args(args) {
-        Some(b) => cluster().with_backend(b),
-        None => cluster(),
-    }
-}
-
-fn parse_bench(args: &[String]) -> Result<Benchmark, String> {
-    let name = flag(args, "--bench").ok_or("missing --bench <NAME>")?;
-    Benchmark::parse(&name)
-        .ok_or_else(|| format!("unknown benchmark '{name}' (try `powerscale list`)"))
-}
-
-fn parse_class(args: &[String]) -> Result<ProblemClass, String> {
-    match flag(args, "--class").as_deref() {
+fn parse_class(args: &Args) -> Result<ProblemClass, CliError> {
+    match args.value("--class")? {
         None | Some("b") | Some("B") => Ok(ProblemClass::B),
         Some("test") => Ok(ProblemClass::Test),
-        Some(other) => Err(format!("unknown class '{other}' (b or test)")),
+        Some(other) => Err(format!("unknown class '{other}' (b or test)").into()),
     }
 }
 
-fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("invalid value for {name}: '{v}'")),
-    }
-}
-
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let bench = parse_bench(args)?;
-    let class = parse_class(args)?;
-    let nodes: usize = parse_num(args, "--nodes", 1)?;
-    let gear: usize = parse_num(args, "--gear", 1)?;
+/// `--nodes` (default 1), checked against the benchmark's valid counts.
+fn parse_nodes(args: &Args, bench: Benchmark) -> Result<usize, CliError> {
+    let nodes = args.num("--nodes")?.unwrap_or(1);
     if !bench.supports_nodes(nodes) {
         return Err(format!(
             "{} cannot run on {nodes} nodes (valid: {:?})",
             bench.name(),
             bench.valid_nodes(32)
-        ));
+        )
+        .into());
     }
-    let c = cluster_from_args(args);
-    if gear < 1 || gear > c.node.gears.len() {
-        return Err(format!("gear must be 1..={}", c.node.gears.len()));
+    Ok(nodes)
+}
+
+/// One configuration driven on the testbed cluster directly rather than
+/// through an engine — what `run`, `trace` and `policy run` measure.
+struct DirectRun {
+    bench: Benchmark,
+    class: ProblemClass,
+    nodes: usize,
+    gear: usize,
+    cluster: psc_mpi::Cluster,
+    faults: Option<FaultPlan>,
+    policy: Option<PolicySpec>,
+}
+
+impl DirectRun {
+    fn from_args(args: &Args) -> Result<Self, CliError> {
+        let bench = parse_bench(args)?;
+        let class = parse_class(args)?;
+        let nodes = parse_nodes(args, bench)?;
+        let gear: usize = args.num("--gear")?.unwrap_or(1);
+        let cluster = match backend_from_args(args)? {
+            Some(b) => cluster().with_backend(b),
+            None => cluster(),
+        };
+        if gear < 1 || gear > cluster.node.gears.len() {
+            return Err(format!("gear must be 1..={}", cluster.node.gears.len()).into());
+        }
+        let faults = faults_from_args(args)?;
+        let policy = args.value("--policy")?.map(PolicySpec::parse).transpose()?;
+        if let Some(p) = &policy {
+            p.validate(&cluster.node, nodes)?;
+        }
+        Ok(DirectRun { bench, class, nodes, gear, cluster, faults, policy })
     }
-    let cfg = ClusterConfig::uniform(nodes, gear);
-    let faults = faults_from_args(args);
-    let policy = policy_from_args(args)?;
-    if let Some(p) = &policy {
-        p.validate(&c.node, nodes)?;
+
+    fn config(&self) -> ClusterConfig {
+        ClusterConfig::uniform(self.nodes, self.gear)
     }
-    let (run, outs) = c.run_with_policy(&cfg, faults.as_ref(), policy.as_ref().map(|p| p as _), {
-        move |comm: &mut psc_mpi::Comm| bench.run(comm, class)
-    });
+
+    fn execute(&self) -> (RunResult, Vec<KernelOutput>) {
+        let (bench, class) = (self.bench, self.class);
+        self.cluster.run_with_policy(
+            &self.config(),
+            self.faults.as_ref(),
+            self.policy.as_ref().map(|p| p as _),
+            move |comm: &mut psc_mpi::Comm| bench.run(comm, class),
+        )
+    }
+}
+
+fn cmd_run(args: &Args) -> Result<(), CliError> {
+    let d = DirectRun::from_args(args)?;
+    let trace_out = args.value("--trace-out")?.map(PathBuf::from);
+    let manifest_out = args.value("--manifest-out")?.map(PathBuf::from);
+    args.finish()?;
+    let (run, outs) = d.execute();
+    let (bench, nodes) = (d.bench, d.nodes);
     let out = &outs[0];
-    match &policy {
+    match &d.policy {
         Some(p) => println!("{} on {nodes} node(s) under {}:", bench.name(), p.shorthand()),
-        None => println!("{} on {nodes} node(s) at gear {gear}:", bench.name()),
+        None => println!("{} on {nodes} node(s) at gear {}:", bench.name(), d.gear),
     }
     println!("  time    {:>12.2} s", run.time_s);
     println!("  energy  {:>12.0} J (wattmeter: {:.0} J)", run.energy_j, run.measured_energy_j);
@@ -309,14 +301,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(r) = out.residual {
         println!("  residual {:>11.3e}", r);
     }
-    if let Some(path) = flag(args, "--trace-out") {
-        let path = PathBuf::from(path);
+    if let Some(path) = trace_out {
         write_chrome_trace(&run, &path).map_err(|e| format!("writing {}: {e}", path.display()))?;
         println!("  trace    {}", path.display());
     }
-    if let Some(path) = flag(args, "--manifest-out") {
-        let path = PathBuf::from(path);
-        let m = RunManifest::new(bench.name(), class_label(class), &cfg, &run);
+    if let Some(path) = manifest_out {
+        let m = RunManifest::new(bench.name(), class_label(d.class), &d.config(), &run);
         m.write(&path).map_err(|e| format!("writing {}: {e}", path.display()))?;
         println!("  manifest {}", path.display());
     }
@@ -333,28 +323,17 @@ fn path_with_gear(path: &Path, gear: usize) -> PathBuf {
     path.with_file_name(name)
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let bench = parse_bench(args)?;
-    let class = parse_class(args)?;
-    let nodes: usize = parse_num(args, "--nodes", 1)?;
-    let gear: usize = parse_num(args, "--gear", 1)?;
-    if !bench.supports_nodes(nodes) {
-        return Err(format!("{} cannot run on {nodes} nodes", bench.name()));
-    }
-    let c = cluster_from_args(args);
-    if gear < 1 || gear > c.node.gears.len() {
-        return Err(format!("gear must be 1..={}", c.node.gears.len()));
-    }
-    let cfg = ClusterConfig::uniform(nodes, gear);
-    let faults = faults_from_args(args);
-    let policy = policy_from_args(args)?;
-    if let Some(p) = &policy {
-        p.validate(&c.node, nodes)?;
-    }
-    let (run, _) = c.run_with_policy(&cfg, faults.as_ref(), policy.as_ref().map(|p| p as _), {
-        move |comm: &mut psc_mpi::Comm| bench.run(comm, class)
-    });
-    let m = RunManifest::new(bench.name(), class_label(class), &cfg, &run);
+fn cmd_trace(args: &Args) -> Result<(), CliError> {
+    let d = DirectRun::from_args(args)?;
+    let (bench, nodes, gear) = (d.bench, d.nodes, d.gear);
+    let trace_path = match args.value("--out")? {
+        Some(p) => PathBuf::from(p),
+        None => PathBuf::from("results")
+            .join(format!("{}-n{nodes}-g{gear}.trace.json", bench.name().to_lowercase())),
+    };
+    args.finish()?;
+    let (run, _) = d.execute();
+    let m = RunManifest::new(bench.name(), class_label(d.class), &d.config(), &run);
     println!(
         "{} on {nodes} node(s) at gear {gear}: {:.2} s, {:.0} J\n",
         bench.name(),
@@ -362,11 +341,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         run.energy_j
     );
     println!("{}", m.attribution.table());
-    let trace_path = match flag(args, "--out") {
-        Some(p) => PathBuf::from(p),
-        None => PathBuf::from("results")
-            .join(format!("{}-n{nodes}-g{gear}.trace.json", bench.name().to_lowercase())),
-    };
     write_chrome_trace(&run, &trace_path)
         .map_err(|e| format!("writing {}: {e}", trace_path.display()))?;
     let manifest_path = m.default_path();
@@ -376,15 +350,14 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
+fn cmd_sweep(args: &Args) -> Result<(), CliError> {
     let bench = parse_bench(args)?;
     let class = parse_class(args)?;
-    let nodes: usize = parse_num(args, "--nodes", 1)?;
-    if !bench.supports_nodes(nodes) {
-        return Err(format!("{} cannot run on {nodes} nodes", bench.name()));
-    }
-    let e = engine_from_args(args);
-    let trace_out = flag(args, "--trace-out").map(PathBuf::from);
+    let nodes = parse_nodes(args, bench)?;
+    let e = engine_from_args(args)?;
+    let trace_out = args.value("--trace-out")?.map(PathBuf::from);
+    let exports = exports(args)?;
+    args.finish()?;
     let curve = match &trace_out {
         None => measure_curve(&e, bench, class, nodes),
         Some(base) => {
@@ -425,8 +398,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     );
     println!("\n{}", ascii_plot(std::slice::from_ref(&curve), 60, 12));
     print_cache_line(&e);
-    export_metrics(&e, args)?;
-    Ok(())
+    export_metrics(&e, exports)
 }
 
 /// `powerscale stats`: drive a figure-1-style gear sweep through the
@@ -435,14 +407,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 /// utilization, disk-I/O breakdown. The simulated results are
 /// unaffected by the observation (analyzer rules L001, M001, R005);
 /// run it twice to see the cold-vs-warm cache difference.
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &Args) -> Result<(), CliError> {
     let bench = parse_bench(args)?;
     let class = parse_class(args)?;
-    let nodes: usize = parse_num(args, "--nodes", 1)?;
-    if !bench.supports_nodes(nodes) {
-        return Err(format!("{} cannot run on {nodes} nodes", bench.name()));
-    }
-    let e = engine_from_args(args);
+    let nodes = parse_nodes(args, bench)?;
+    let e = engine_from_args(args)?;
+    let exports = exports(args)?;
+    args.finish()?;
     let curve = measure_curve(&e, bench, class, nodes);
     println!(
         "engine stats for the {} gear sweep on {nodes} node(s) ({} gear(s), {} worker(s)):\n",
@@ -451,15 +422,15 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         e.jobs()
     );
     print!("{}", stats::render_stats(&e.metrics().snapshot()));
-    export_metrics(&e, args)?;
-    Ok(())
+    export_metrics(&e, exports)
 }
 
-fn cmd_curve(args: &[String]) -> Result<(), String> {
+fn cmd_curve(args: &Args) -> Result<(), CliError> {
     let bench = parse_bench(args)?;
     let class = parse_class(args)?;
-    let max_nodes: usize = parse_num(args, "--max-nodes", 8)?;
-    let e = engine_from_args(args);
+    let max_nodes: usize = args.num("--max-nodes")?.unwrap_or(8);
+    let e = engine_from_args(args)?;
+    args.finish()?;
     let curves: Vec<_> = bench
         .valid_nodes(max_nodes)
         .into_iter()
@@ -470,11 +441,12 @@ fn cmd_curve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_model(args: &[String]) -> Result<(), String> {
+fn cmd_model(args: &Args) -> Result<(), CliError> {
     let bench = parse_bench(args)?;
     let class = parse_class(args)?;
-    let target: usize = parse_num(args, "--predict", 32)?;
-    let e = engine_from_args(args);
+    let target: usize = args.num("--predict")?.unwrap_or(32);
+    let e = engine_from_args(args)?;
+    args.finish()?;
     let model = model_for(&e, bench, class, 9);
     println!("{} model (fit on ≤9 nodes):", bench.name());
     println!("  F_s ≈ {:.4} (slope {:+.5}/node)", model.amdahl.fs_mean(), model.amdahl.fs_slope);
@@ -491,12 +463,13 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_advise(args: &[String]) -> Result<(), String> {
-    let upm: f64 = parse_num(args, "--upm", f64::NAN)?;
+fn cmd_advise(args: &Args) -> Result<(), CliError> {
+    let upm: f64 = args.num("--upm")?.unwrap_or(f64::NAN);
     if !upm.is_finite() || upm <= 0.0 {
         return Err("missing or invalid --upm <UPM>".into());
     }
-    let delay: f64 = parse_num(args, "--delay", 0.05)?;
+    let delay: f64 = args.num("--delay")?.unwrap_or(0.05);
+    args.finish()?;
     let node = psc_machine::presets::athlon64();
     let a = gear_for_delay_budget(&node, upm, delay);
     let e = min_energy_gear(&node, upm);
@@ -517,15 +490,16 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_budget(args: &[String]) -> Result<(), String> {
+fn cmd_budget(args: &Args) -> Result<(), CliError> {
     let bench = parse_bench(args)?;
     let class = parse_class(args)?;
-    let cap: f64 = parse_num(args, "--power-cap", f64::NAN)?;
+    let cap: f64 = args.num("--power-cap")?.unwrap_or(f64::NAN);
     if !cap.is_finite() || cap <= 0.0 {
         return Err("missing or invalid --power-cap <WATTS>".into());
     }
-    let max_nodes: usize = parse_num(args, "--max-nodes", 9)?;
-    let e = engine_from_args(args);
+    let max_nodes: usize = args.num("--max-nodes")?.unwrap_or(9);
+    let e = engine_from_args(args)?;
+    args.finish()?;
     let curves: Vec<_> = bench
         .valid_nodes(max_nodes)
         .into_iter()
@@ -557,24 +531,27 @@ fn cmd_budget(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_faults(args: &[String]) -> Result<(), String> {
-    if let Some(path) = flag(args, "--inspect") {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+fn cmd_faults(args: &Args) -> Result<(), CliError> {
+    if let Some(path) = args.value("--inspect")? {
+        args.finish()?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let plan = FaultPlan::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))?;
         println!("fault plan {path}:");
         println!("{}", plan.summary());
         return Ok(());
     }
-    let seed: u64 = parse_num(args, "--seed", 42)?;
-    let level: f64 = parse_num(args, "--level", DEFAULT_NOISE_LEVEL)?;
+    let seed: u64 = args.num("--seed")?.unwrap_or(42);
+    let level: f64 = args.num("--level")?.unwrap_or(DEFAULT_NOISE_LEVEL);
     if !(0.0..=0.5).contains(&level) {
-        return Err(format!("--level must be in [0, 0.5], got {level}"));
+        return Err(format!("--level must be in [0, 0.5], got {level}").into());
     }
+    let out = args.value("--out")?;
+    args.finish()?;
     let plan = if level == 0.0 { FaultPlan::quiet(seed) } else { FaultPlan::noise(seed, level) };
     plan.validate()?;
-    match flag(args, "--out") {
+    match out {
         Some(path) => {
-            std::fs::write(&path, plan.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+            std::fs::write(path, plan.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote {path}");
             println!("{}", plan.summary());
         }
@@ -583,75 +560,47 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse and structurally check a `--policy <SPEC>` argument shared by
-/// `run`, `trace`, and `policy run`.
-fn policy_from_args(args: &[String]) -> Result<Option<psc_policy::PolicySpec>, String> {
-    match flag(args, "--policy") {
-        None => Ok(None),
-        Some(text) => psc_policy::PolicySpec::parse(&text).map(Some),
-    }
-}
-
 /// `powerscale policy`: list the online gear policies, describe one, or
 /// run a benchmark under one.
-fn cmd_policy(args: &[String]) -> Result<(), String> {
-    use psc_policy::PolicySpec;
-    match args.get(1).map(String::as_str) {
+fn cmd_policy(args: &Args) -> Result<(), CliError> {
+    match args.positional(1) {
         Some("list") => {
+            args.finish()?;
             println!("{:<16} summary", "policy");
             for name in PolicySpec::NAMES {
-                println!("{name:<16} {}", PolicySpec::summary(name).unwrap());
+                println!("{name:<16} {}", PolicySpec::summary(name).expect("listed policy"));
             }
             Ok(())
         }
         Some("describe") => {
-            let name =
-                args.get(2).ok_or("missing policy name: powerscale policy describe <NAME>")?;
-            match PolicySpec::describe(name) {
-                Some(text) => {
-                    print!("{text}");
-                    Ok(())
-                }
-                None => Err(format!(
-                    "unknown policy '{name}' (available: {})",
-                    PolicySpec::NAMES.join(", ")
-                )),
-            }
+            let name = args
+                .positional(2)
+                .ok_or("missing policy name: powerscale policy describe <NAME>")?;
+            args.finish()?;
+            let text = PolicySpec::describe(name).ok_or_else(|| {
+                format!("unknown policy '{name}' (available: {})", PolicySpec::NAMES.join(", "))
+            })?;
+            print!("{text}");
+            Ok(())
         }
-        Some("run") => {
-            let spec = policy_from_args(args)?
-                .ok_or("missing --policy <SPEC> (try `powerscale policy list`)")?;
-            cmd_policy_run(args, spec)
-        }
-        Some(other) => Err(format!("unknown policy subcommand '{other}' (list, describe, run)")),
-        None => Err("missing policy subcommand (list, describe, run)".into()),
+        Some("run") => cmd_policy_run(args),
+        Some(other) => Err(CliError::Usage(format!(
+            "unknown policy subcommand '{other}' (list, describe, run)"
+        ))),
+        None => Err(CliError::Usage("missing policy subcommand (list, describe, run)".into())),
     }
 }
 
-fn cmd_policy_run(args: &[String], policy: psc_policy::PolicySpec) -> Result<(), String> {
-    let bench = parse_bench(args)?;
-    let class = parse_class(args)?;
-    let nodes: usize = parse_num(args, "--nodes", 1)?;
-    let gear: usize = parse_num(args, "--gear", 1)?;
-    if !bench.supports_nodes(nodes) {
-        return Err(format!(
-            "{} cannot run on {nodes} nodes (valid: {:?})",
-            bench.name(),
-            bench.valid_nodes(32)
-        ));
-    }
-    let c = cluster_from_args(args);
-    if gear < 1 || gear > c.node.gears.len() {
-        return Err(format!("gear must be 1..={}", c.node.gears.len()));
-    }
-    policy.validate(&c.node, nodes)?;
-    let cfg = ClusterConfig::uniform(nodes, gear);
-    let faults = faults_from_args(args);
-    let (run, _) =
-        c.run_with_policy(&cfg, faults.as_ref(), Some(&policy), move |comm| bench.run(comm, class));
+fn cmd_policy_run(args: &Args) -> Result<(), CliError> {
+    let d = DirectRun::from_args(args)?;
+    let policy =
+        d.policy.as_ref().ok_or("missing --policy <SPEC> (try `powerscale policy list`)")?;
+    args.finish()?;
+    let (run, _) = d.execute();
     let decisions: usize = run.ranks.iter().map(|r| r.trace.decisions().len()).sum();
     let shifts: usize = run.ranks.iter().map(|r| r.trace.gear_shifts().len()).sum();
-    println!("{} on {nodes} node(s) under {}:", bench.name(), policy.shorthand());
+    let nodes = d.nodes;
+    println!("{} on {nodes} node(s) under {}:", d.bench.name(), policy.shorthand());
     println!("  time      {:>12.2} s", run.time_s);
     println!("  energy    {:>12.0} J (wattmeter: {:.0} J)", run.energy_j, run.measured_energy_j);
     println!("  power     {:>12.1} W average", run.average_power_w());
@@ -681,20 +630,22 @@ fn cmd_policy_run(args: &[String], policy: psc_policy::PolicySpec) -> Result<(),
 /// Protocol bytes own stdout in stdio mode, so diagnostics go to
 /// stderr; in TCP mode the bound address prints on stdout for scripts
 /// to capture.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
     use std::io::Write as _;
-    let workers: usize = parse_num(args, "--workers", 4)?;
-    let queue_cap: usize = parse_num(args, "--queue-cap", 64)?;
-    let max_batch: usize = parse_num(args, "--max-batch", 1024)?;
-    let engine = std::sync::Arc::new(engine_from_args(args));
+    let workers: usize = args.num("--workers")?.unwrap_or(4);
+    let queue_cap: usize = args.num("--queue-cap")?.unwrap_or(64);
+    let max_batch: usize = args.num("--max-batch")?.unwrap_or(1024);
+    let tcp = args.value("--tcp")?;
+    let engine = std::sync::Arc::new(engine_from_args(args)?);
+    args.finish()?;
     let server = psc_serve::Server::new(
         engine,
         psc_serve::ServerConfig { workers, queue_capacity: queue_cap, max_batch },
     );
-    match flag(args, "--tcp") {
+    match tcp {
         Some(addr) => {
             let listener =
-                std::net::TcpListener::bind(&addr).map_err(|e| format!("binding {addr}: {e}"))?;
+                std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
             let local = listener.local_addr().map_err(|e| format!("local addr: {e}"))?;
             println!("listening on {local} ({workers} worker(s), queue {queue_cap}/lane)");
             let _ = std::io::stdout().flush();
@@ -716,9 +667,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// (non-zero exit) if any reply diverges from direct engine execution,
 /// any duplicated spec simulates twice, or the dedup rate falls under
 /// --min-dedup — the gates CI leans on.
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let quick = args.iter().any(|a| a == "--quick");
-    let base = if quick {
+fn cmd_replay(args: &Args) -> Result<(), CliError> {
+    let base = if args.switch("--quick")? {
         psc_serve::ReplayConfig {
             clients: 4,
             requests_per_client: 6,
@@ -729,17 +679,22 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         psc_serve::ReplayConfig::default()
     };
     let cfg = psc_serve::ReplayConfig {
-        clients: parse_num(args, "--clients", base.clients)?,
-        requests_per_client: parse_num(args, "--requests", base.requests_per_client)?,
-        batch_size: parse_num(args, "--batch", base.batch_size)?,
-        zipf_exponent: parse_num(args, "--zipf", base.zipf_exponent)?,
-        interactive_percent: parse_num(args, "--interactive", base.interactive_percent)?,
-        seed: parse_num(args, "--seed", base.seed)?,
-        workers: parse_num(args, "--workers", base.workers)?,
-        queue_capacity: parse_num(args, "--queue-cap", base.queue_capacity)?,
+        clients: args.num("--clients")?.unwrap_or(base.clients),
+        requests_per_client: args.num("--requests")?.unwrap_or(base.requests_per_client),
+        batch_size: args.num("--batch")?.unwrap_or(base.batch_size),
+        zipf_exponent: args.num("--zipf")?.unwrap_or(base.zipf_exponent),
+        interactive_percent: args.num("--interactive")?.unwrap_or(base.interactive_percent),
+        seed: args.num("--seed")?.unwrap_or(base.seed),
+        workers: args.num("--workers")?.unwrap_or(base.workers),
+        queue_capacity: args.num("--queue-cap")?.unwrap_or(base.queue_capacity),
     };
-    let min_dedup: f64 = parse_num(args, "--min-dedup", 0.0)?;
-    let r = psc_serve::replay(&|| engine_from_args(args), cfg);
+    if cfg.clients == 0 || cfg.requests_per_client == 0 || cfg.batch_size == 0 {
+        return Err("--clients, --requests and --batch must be at least 1".into());
+    }
+    let min_dedup: f64 = args.num("--min-dedup")?.unwrap_or(0.0);
+    let template = engine_from_args(args)?;
+    args.finish()?;
+    let r = psc_serve::replay(&|| engine_like(&template, template.faults().cloned()), cfg);
     println!(
         "replay: {} client(s) × {} request(s) × {} spec(s)/batch (zipf {}, seed {})",
         r.clients, cfg.requests_per_client, cfg.batch_size, cfg.zipf_exponent, cfg.seed
@@ -767,24 +722,47 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         1e3 * r.latency_p95_s
     );
     if !r.byte_identical {
-        return Err(format!("{} replies diverged from direct engine execution", r.mismatches));
+        return Err(
+            format!("{} replies diverged from direct engine execution", r.mismatches).into()
+        );
     }
     if !r.dedup_exact() {
         return Err(format!(
             "in-flight dedup leak: {} simulations for {} unique specs",
             r.executed, r.unique_specs
-        ));
+        )
+        .into());
     }
     if r.dedup_rate < min_dedup {
         return Err(format!(
             "dedup rate {:.3} below the --min-dedup {min_dedup} floor",
             r.dedup_rate
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
-fn cmd_list() -> Result<(), String> {
+/// `powerscale analyze`: parse the analyzer's flags into its options.
+fn cmd_analyze(args: &Args) -> Result<ExitCode, CliError> {
+    let json = match args.value("--format")? {
+        None | Some("text") => false,
+        Some("json") => true,
+        Some(f) => return Err(format!("unknown format '{f}' (expected text or json)").into()),
+    };
+    let opts = psc_analyze::cli::Options {
+        deny: args.switch("--deny")?,
+        json,
+        baseline: args.value("--baseline")?.map(PathBuf::from),
+        root: args.value("--root")?.map(PathBuf::from),
+        time_budget_ms: args.num("--time-budget-ms")?,
+    };
+    args.finish()?;
+    Ok(psc_analyze::cli::run(&opts)?)
+}
+
+fn cmd_list(args: &Args) -> Result<(), CliError> {
+    args.finish()?;
     println!("{:<10} {:>8}  {:<12} valid node counts (≤32)", "benchmark", "UPM", "paper comm");
     for b in Benchmark::ALL {
         println!(

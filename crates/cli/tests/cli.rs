@@ -301,8 +301,7 @@ Example: static:3
 #[test]
 fn policy_run_static_golden() {
     let args = [
-        "policy", "run", "--bench", "CG", "--nodes", "2", "--class", "test", "--policy",
-        "static:4", "--jobs", "1",
+        "policy", "run", "--bench", "CG", "--nodes", "2", "--class", "test", "--policy", "static:4",
     ];
     let out = powerscale_hermetic(&args);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -315,12 +314,8 @@ CG on 2 node(s) under static:4:
 ";
     assert_eq!(String::from_utf8(out.stdout).unwrap(), golden);
     // The snapshot is a pure function of the arguments: a second
-    // invocation at a different worker count reproduces it.
-    let args8 = [
-        "policy", "run", "--bench", "CG", "--nodes", "2", "--class", "test", "--policy",
-        "static:4", "--jobs", "8",
-    ];
-    let again = powerscale_hermetic(&args8);
+    // invocation reproduces it.
+    let again = powerscale_hermetic(&args);
     assert_eq!(String::from_utf8(again.stdout).unwrap(), golden);
 }
 
@@ -337,8 +332,6 @@ fn policy_run_oracle_golden() {
         "test",
         "--policy",
         "oracle:0=5,3=2",
-        "--jobs",
-        "1",
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let golden = "\
@@ -404,6 +397,40 @@ fn policy_error_paths_golden() {
         assert!(!out.status.success(), "{args:?} must fail");
         assert_eq!(out.stdout, b"", "{args:?} must print nothing to stdout");
         assert_eq!(String::from_utf8(out.stderr).unwrap(), golden, "args: {args:?}");
+    }
+}
+
+/// Every malformed command line is refused before anything runs: one
+/// exact `error:` line on stderr, nothing on stdout, exit 2 for a usage
+/// error (unknown, valueless or repeated flag, stray argument, value
+/// given to a switch) and 1 for a bad value — never a panic.
+#[test]
+fn malformed_command_lines_are_rejected_golden() {
+    let run = ["run", "--bench", "ep", "--class", "test"];
+    let sweep = ["sweep", "--bench", "ep", "--nodes", "2", "--class", "test"];
+    let with = |base: &[&'static str], extra: &[&'static str]| [base, extra].concat();
+    let cases: Vec<(Vec<&str>, i32, &str)> = vec![
+        (with(&run, &["--gaer", "6"]), 2, "unexpected flag '--gaer'"),
+        (with(&run, &["--gear"]), 2, "--gear needs a value"),
+        (with(&run, &["--gear", "2", "--gear", "5"]), 2, "--gear given more than once"),
+        (with(&run, &["--jobs", "8"]), 2, "unexpected flag '--jobs'"),
+        (vec!["run", "ep"], 2, "unexpected argument 'ep'"),
+        (vec!["analyze", "--frobnicate"], 2, "unexpected flag '--frobnicate'"),
+        (vec!["replay", "--quick", "3"], 2, "--quick takes no value, got '3'"),
+        (with(&sweep, &["--jobs", "0"]), 1, "--jobs needs a positive integer"),
+        (
+            with(&sweep, &["--backend", "fibers"]),
+            1,
+            "--backend must be 'threaded' or 'des', got 'fibers'",
+        ),
+        (with(&sweep, &["--fault-seed", "many"]), 1, "invalid value for --fault-seed: 'many'"),
+    ];
+    for (args, code, message) in cases {
+        let out = powerscale_hermetic(&args);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert_eq!(out.stdout, b"", "{args:?} must print nothing to stdout");
+        assert_eq!(stderr, format!("error: {message}\n"), "args: {args:?}");
     }
 }
 

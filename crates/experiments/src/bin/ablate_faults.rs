@@ -19,7 +19,10 @@
 
 use psc_analysis::cases::{classify_pair, ScalingCase};
 use psc_analysis::curve::EnergyTimeCurve;
-use psc_experiments::harness::{engine_from_args, fig2_nodes, measure_curve};
+use psc_experiments::args::read_env;
+use psc_experiments::harness::{
+    class_from_args, cluster, engine_like, engine_without_faults, fig2_nodes, measure_curve,
+};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_faults::{FaultPlan, DEFAULT_NOISE_LEVEL};
 use psc_kernels::{Benchmark, ProblemClass};
@@ -98,23 +101,19 @@ fn case_break(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("--seed needs an unsigned integer"))
-        })
-        .unwrap_or(42);
+    // The binary sets every engine's fault plan itself, so it reads no
+    // fault flags: `--seed` picks the noise stream.
+    let (class, seed, base) = read_env(|a| {
+        Ok((
+            class_from_args(a)?,
+            a.num("--seed")?.unwrap_or(42),
+            engine_without_faults(cluster(), a)?,
+        ))
+    });
 
     println!("Fault ablation: Figures 1-3 orderings under escalating noise (seed {seed})\n");
 
     // The fault-free baseline everything is compared against.
-    let base = engine_from_args(&args).with_faults(None);
     let b1 = fig1_curves(&base, class);
     let b2 = fig2_cases(&base, class);
     let b3 = fig3_cases(&base, class);
@@ -126,7 +125,7 @@ fn main() {
     let mut first_break: [Option<f64>; 3] = [None; 3];
     let mut csv = String::from("level,fig1,fig2,fig3,detail\n");
     for &level in &LEVELS {
-        let e = engine_from_args(&args).with_faults(Some(FaultPlan::noise(seed, level)));
+        let e = engine_like(&base, Some(FaultPlan::noise(seed, level)));
         let breaks = [
             fig1_break(&b1, &fig1_curves(&e, class)),
             case_break(&b2, &fig2_cases(&e, class)),

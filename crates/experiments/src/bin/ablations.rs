@@ -8,9 +8,7 @@
 //!    watch the energy-optimal gear move (the "heat-limited future"
 //!    discussion).
 
-use psc_experiments::harness::{
-    cluster, decompositions, engine_from_args, finish_sweep, gear_profile,
-};
+use psc_experiments::harness::{cluster, decompositions, figure_args, finish_sweep, gear_profile};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
@@ -21,15 +19,12 @@ use psc_mpi::ClusterConfig;
 use psc_runner::RunSpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
     // Standard sweeps (decompositions, profiles, per-gear kernel runs)
     // go through the engine; the bespoke closures below (overlapped
     // Jacobi, the producer/consumer pipeline, the contended switch) are
     // not content-addressable benchmark runs and use the cluster
     // directly.
-    let e = engine_from_args(&args);
+    let (class, e) = figure_args();
     let timer = HostTimer::start();
     let c = cluster();
     let mut claims = Vec::new();

@@ -2,17 +2,14 @@
 //! the slowdown bound, the UPC effect, single-node savings numbers, and
 //! the monotonicity observations the figures rely on.
 
-use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve};
+use psc_experiments::harness::{figure_args, finish_sweep, measure_curve};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
 use psc_runner::RunSpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
-    let e = engine_from_args(&args);
+    let (class, e) = figure_args();
     let timer = HostTimer::start();
     let mut claims = Vec::new();
 

@@ -2,16 +2,13 @@
 //! on a single AMD machine": six benchmarks, six gears, one node.
 
 use psc_analysis::plot::{ascii_plot, to_csv};
-use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve, telemetry_snapshot};
+use psc_experiments::harness::{figure_args, finish_sweep, measure_curve, telemetry_snapshot};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
-    let e = engine_from_args(&args);
+    let (class, e) = figure_args();
     let timer = HostTimer::start();
 
     println!("Figure 1: NAS benchmarks on one Athlon-64 node, gears 1-6\n");

@@ -5,17 +5,14 @@
 use psc_analysis::cases::{classify_pair, ScalingCase};
 use psc_analysis::plot::{ascii_plot, to_csv};
 use psc_experiments::harness::{
-    engine_from_args, fig2_nodes, finish_sweep, measure_curve, telemetry_snapshot,
+    fig2_nodes, figure_args, finish_sweep, measure_curve, telemetry_snapshot,
 };
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
-    let e = engine_from_args(&args);
+    let (class, e) = figure_args();
     let timer = HostTimer::start();
 
     println!("Figure 2: NAS benchmarks on multiple nodes, gears 1-6\n");

@@ -5,16 +5,13 @@
 
 use psc_analysis::cases::{classify_pair, ScalingCase};
 use psc_analysis::plot::{ascii_plot, to_csv};
-use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve, telemetry_snapshot};
+use psc_experiments::harness::{figure_args, finish_sweep, measure_curve, telemetry_snapshot};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
-    let e = engine_from_args(&args);
+    let (class, e) = figure_args();
     let timer = HostTimer::start();
     let node_counts = [2usize, 4, 6, 8, 10];
     let paper_speedups = [1.9, 3.6, 5.0, 6.4, 7.7];

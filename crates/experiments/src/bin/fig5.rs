@@ -4,9 +4,10 @@
 //! benchmark to 16, 25, and 32 power-scalable nodes at every gear.
 
 use psc_analysis::plot::{ascii_plot, to_csv};
+use psc_experiments::args::read_env;
 use psc_experiments::harness::{
-    decompositions, engine_for, engine_from_args, finish_sweep, gear_profile, measure_curve,
-    predicted_curve, sun_cluster, telemetry_snapshot,
+    class_from_args, decompositions, engine_for, engine_from_args, finish_sweep, gear_profile,
+    measure_curve, predicted_curve, sun_cluster, telemetry_snapshot,
 };
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_experiments::timing::HostTimer;
@@ -16,11 +17,9 @@ use psc_model::validate::ValidationReport;
 use psc_runner::RunSpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
-    let e = engine_from_args(&args);
-    let sun = engine_for(sun_cluster(), &args);
+    let (class, e, sun) = read_env(|a| {
+        Ok((class_from_args(a)?, engine_from_args(a)?, engine_for(sun_cluster(), a)?))
+    });
     let timer = HostTimer::start();
     let targets = [16usize, 25, 32];
 

@@ -12,7 +12,7 @@
 //! policy changes: which schedules are ever worth running.
 
 use psc_analysis::pareto::{pareto_frontier, Config};
-use psc_experiments::harness::{engine_from_args, finish_sweep};
+use psc_experiments::harness::{figure_args, finish_sweep};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
@@ -44,10 +44,7 @@ fn measure(e: &Engine, spec: RunSpec) -> Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
-    let e = engine_from_args(&args);
+    let (class, e) = figure_args();
     let timer = HostTimer::start();
 
     // A budget between the cluster's slowest-gear and fastest-gear

@@ -7,6 +7,7 @@ use psc_analysis::cases::classify_pair;
 use psc_analysis::curve::EnergyTimeCurve;
 use psc_analysis::metrics::{best_ed2p_gear, best_edp_gear};
 use psc_analysis::plot::from_csv;
+use psc_experiments::args::read_env;
 use psc_experiments::report::results_dir;
 
 fn load(name: &str) -> Option<Vec<EnergyTimeCurve>> {
@@ -22,6 +23,7 @@ fn load(name: &str) -> Option<Vec<EnergyTimeCurve>> {
 }
 
 fn main() {
+    read_env(|_| Ok(()));
     let mut found_any = false;
 
     if let Some(curves) = load("fig1.csv") {

@@ -5,7 +5,7 @@
 //! too.
 
 use psc_analysis::table::UpmTable;
-use psc_experiments::harness::{engine_from_args, finish_sweep, measure_curve, measure_upm};
+use psc_experiments::harness::{figure_args, finish_sweep, measure_curve, measure_upm};
 use psc_experiments::report::{render_claims, write_artifact, Claim};
 use psc_experiments::timing::HostTimer;
 use psc_kernels::{Benchmark, ProblemClass};
@@ -21,10 +21,7 @@ const PAPER_ROWS: [(&str, f64, f64, f64); 6] = [
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class =
-        if args.iter().any(|a| a == "--test") { ProblemClass::Test } else { ProblemClass::B };
-    let e = engine_from_args(&args);
+    let (class, e) = figure_args();
     let timer = HostTimer::start();
 
     // The UPM probe is the curve's gear-1 run; with the shared run

@@ -7,6 +7,7 @@
 //! pool. Results are bit-identical to serial execution, so the figures
 //! do not depend on the worker count.
 
+use crate::args::{read_env, Args, CliError};
 use crate::timing::HostTimer;
 use psc_analysis::curve::{EnergyTimeCurve, EnergyTimePoint};
 use psc_faults::{FaultPlan, DEFAULT_NOISE_LEVEL};
@@ -29,41 +30,66 @@ pub fn sun_cluster() -> Cluster {
     Cluster::new(psc_machine::presets::sun_cluster(), NetworkModel::fast_ethernet())
 }
 
+/// The problem class the figure binaries run: `--test` selects the tiny
+/// CI-speed sizes, otherwise the paper's class B.
+pub fn class_from_args(args: &Args) -> Result<ProblemClass, CliError> {
+    Ok(if args.switch("--test")? { ProblemClass::Test } else { ProblemClass::B })
+}
+
+/// The figure binaries' command line: [`class_from_args`] and
+/// [`engine_from_args`], through [`read_env`] (a bad command line exits
+/// with one `error:` line).
+pub fn figure_args() -> (ProblemClass, Engine) {
+    read_env(|a| Ok((class_from_args(a)?, engine_from_args(a)?)))
+}
+
 /// The engine the figure binaries use: the paper's testbed cluster,
 /// `PSC_JOBS`/available-parallelism workers, and the environment's cache
 /// configuration (`PSC_CACHE`, `PSC_CACHE_DIR`), with optional
 /// `--jobs N`, `--backend threaded|des`, `--faults <plan.json>`, and
 /// `--fault-seed N` command-line overrides.
-pub fn engine_from_args(args: &[String]) -> Engine {
+pub fn engine_from_args(args: &Args) -> Result<Engine, CliError> {
     engine_for(cluster(), args)
 }
 
 /// Same, over an explicit cluster (e.g. [`sun_cluster`]).
-pub fn engine_for(c: Cluster, args: &[String]) -> Engine {
-    let mut e = Engine::new(c).with_faults(faults_from_args(args));
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let jobs = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| panic!("--jobs needs a positive integer"));
+pub fn engine_for(c: Cluster, args: &Args) -> Result<Engine, CliError> {
+    Ok(engine_without_faults(c, args)?.with_faults(faults_from_args(args)?))
+}
+
+/// [`engine_for`] without reading the fault flags, for binaries that
+/// choose their fault plans themselves.
+pub fn engine_without_faults(c: Cluster, args: &Args) -> Result<Engine, CliError> {
+    let mut e = Engine::new(c);
+    if let Some(jobs) = args.num::<usize>("--jobs")? {
+        if jobs == 0 {
+            return Err("--jobs needs a positive integer".into());
+        }
         e = e.with_jobs(jobs);
     }
-    if let Some(b) = backend_from_args(args) {
+    if let Some(b) = backend_from_args(args)? {
         e = e.with_backend(b);
     }
-    e
+    Ok(e)
+}
+
+/// A fresh engine with `template`'s cluster (backend included) and
+/// worker count, under `faults` — for binaries that build several
+/// engines from one command line.
+pub fn engine_like(template: &Engine, faults: Option<FaultPlan>) -> Engine {
+    Engine::new(template.cluster().clone()).with_jobs(template.jobs()).with_faults(faults)
 }
 
 /// The `--backend threaded|des` override, if present. The backend only
 /// changes how ranks are driven on the host — results are byte-identical
 /// either way — so it is a throughput knob, not a configuration axis.
-pub fn backend_from_args(args: &[String]) -> Option<RuntimeBackend> {
-    args.iter().position(|a| a == "--backend").map(|i| {
-        let v = args.get(i + 1).cloned().unwrap_or_else(|| panic!("--backend needs a value"));
-        RuntimeBackend::parse(&v)
-            .unwrap_or_else(|| panic!("--backend must be 'threaded' or 'des', got '{v}'"))
-    })
+pub fn backend_from_args(args: &Args) -> Result<Option<RuntimeBackend>, CliError> {
+    args.value("--backend")?
+        .map(|v| {
+            RuntimeBackend::parse(v)
+                .ok_or_else(|| format!("--backend must be 'threaded' or 'des', got '{v}'").into())
+        })
+        .transpose()
 }
 
 /// The fault plan the command line asks for, if any:
@@ -72,20 +98,19 @@ pub fn backend_from_args(args: &[String]) -> Option<RuntimeBackend> {
 /// * `--fault-seed <N>` derives the default-noise preset
 ///   (`FaultPlan::noise(N, DEFAULT_NOISE_LEVEL)`) — or, combined with
 ///   `--faults`, re-seeds the loaded plan.
-pub fn faults_from_args(args: &[String]) -> Option<FaultPlan> {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| panic!("{flag} needs a value")))
+pub fn faults_from_args(args: &Args) -> Result<Option<FaultPlan>, CliError> {
+    let mut plan = match args.value("--faults")? {
+        None => None,
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("reading fault plan {path}: {e}"))?;
+            Some(
+                FaultPlan::from_json(&text)
+                    .map_err(|e| format!("parsing fault plan {path}: {e}"))?,
+            )
+        }
     };
-    let mut plan = value_of("--faults").map(|path| {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading fault plan {path}: {e}"));
-        FaultPlan::from_json(&text).unwrap_or_else(|e| panic!("parsing fault plan {path}: {e}"))
-    });
-    if let Some(seed) = value_of("--fault-seed") {
-        let seed: u64 =
-            seed.parse().unwrap_or_else(|_| panic!("--fault-seed needs an unsigned integer"));
+    if let Some(seed) = args.num::<u64>("--fault-seed")? {
         plan = Some(match plan.take() {
             Some(mut p) => {
                 p.seed = seed;
@@ -94,7 +119,7 @@ pub fn faults_from_args(args: &[String]) -> Option<FaultPlan> {
             None => FaultPlan::noise(seed, DEFAULT_NOISE_LEVEL),
         });
     }
-    plan
+    Ok(plan)
 }
 
 /// Run `bench` on `nodes` nodes at every gear and return its
@@ -328,64 +353,74 @@ mod tests {
         assert_eq!(fig2_nodes(Benchmark::Cg), vec![2, 4, 8]);
     }
 
+    fn args(v: &[&str]) -> Args {
+        Args::parse(v.iter().map(|s| s.to_string())).unwrap()
+    }
+
     #[test]
     fn engine_from_args_parses_jobs_override() {
-        let args: Vec<String> = ["--test", "--jobs", "3"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(engine_for(cluster(), &args).jobs(), 3);
-        assert!(engine_for(cluster(), &[]).jobs() >= 1);
+        assert_eq!(engine_for(cluster(), &args(&["--test", "--jobs", "3"])).unwrap().jobs(), 3);
+        assert!(engine_for(cluster(), &args(&[])).unwrap().jobs() >= 1);
+        let zero = engine_for(cluster(), &args(&["--jobs", "0"])).err().unwrap();
+        assert_eq!(zero, CliError::Failed("--jobs needs a positive integer".into()));
     }
 
     #[test]
     fn backend_args_select_the_rank_driver() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(backend_from_args(&to_args(&["--test"])).is_none());
+        assert!(backend_from_args(&args(&["--test"])).unwrap().is_none());
         assert_eq!(
-            backend_from_args(&to_args(&["--backend", "threaded"])),
+            backend_from_args(&args(&["--backend", "threaded"])).unwrap(),
             Some(RuntimeBackend::Threaded)
         );
-        let e = engine_for(cluster(), &to_args(&["--backend", "threaded"]));
+        let e = engine_for(cluster(), &args(&["--backend", "threaded"])).unwrap();
         assert_eq!(e.cluster().backend, RuntimeBackend::Threaded);
-        let e = engine_for(cluster(), &to_args(&["--backend", "des"]));
+        let e = engine_for(cluster(), &args(&["--backend", "des"])).unwrap();
         assert_eq!(e.cluster().backend, RuntimeBackend::Des);
     }
 
     #[test]
-    #[should_panic(expected = "--backend must be 'threaded' or 'des'")]
     fn bad_backend_is_rejected() {
-        let args: Vec<String> = ["--backend", "fibers"].iter().map(|s| s.to_string()).collect();
-        let _ = backend_from_args(&args);
+        let e = backend_from_args(&args(&["--backend", "fibers"])).err().unwrap();
+        assert_eq!(
+            e,
+            CliError::Failed("--backend must be 'threaded' or 'des', got 'fibers'".into())
+        );
     }
 
     #[test]
     fn fault_args_build_the_expected_plan() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(faults_from_args(&to_args(&["--test"])).is_none());
+        assert!(faults_from_args(&args(&["--test"])).unwrap().is_none());
 
         // --fault-seed alone: the default-noise preset at that seed.
-        let p = faults_from_args(&to_args(&["--fault-seed", "7"])).unwrap();
+        let p = faults_from_args(&args(&["--fault-seed", "7"])).unwrap().unwrap();
         assert_eq!((p.seed, p.clock_jitter.unwrap().amplitude), (7, DEFAULT_NOISE_LEVEL));
 
         // --faults loads a plan file; adding --fault-seed re-seeds it.
         let path = std::env::temp_dir().join("psc-harness-fault-plan.json");
         std::fs::write(&path, FaultPlan::noise(1, 0.1).to_json()).unwrap();
         let path_s = path.to_str().unwrap();
-        let loaded = faults_from_args(&to_args(&["--faults", path_s])).unwrap();
+        let loaded = faults_from_args(&args(&["--faults", path_s])).unwrap().unwrap();
         assert_eq!((loaded.seed, loaded.clock_jitter.unwrap().amplitude), (1, 0.1));
         let reseeded =
-            faults_from_args(&to_args(&["--faults", path_s, "--fault-seed", "9"])).unwrap();
+            faults_from_args(&args(&["--faults", path_s, "--fault-seed", "9"])).unwrap().unwrap();
         assert_eq!((reseeded.seed, reseeded.clock_jitter.unwrap().amplitude), (9, 0.1));
         let _ = std::fs::remove_file(&path);
 
         // The engine picks the plan up as its default.
-        let e = engine_for(cluster(), &to_args(&["--fault-seed", "7"]));
+        let e = engine_for(cluster(), &args(&["--fault-seed", "7"])).unwrap();
         assert_eq!(e.faults().map(|p| p.seed), Some(7));
+        // A copy keeps the cluster and workers and takes its own plan.
+        let copy = engine_like(&e, None);
+        assert_eq!((copy.jobs(), copy.cluster().backend), (e.jobs(), e.cluster().backend));
+        assert!(copy.faults().is_none());
     }
 
     #[test]
-    #[should_panic(expected = "--fault-seed needs an unsigned integer")]
     fn bad_fault_seed_is_rejected() {
-        let args: Vec<String> = ["--fault-seed", "many"].iter().map(|s| s.to_string()).collect();
-        let _ = faults_from_args(&args);
+        let e = faults_from_args(&args(&["--fault-seed", "many"])).err().unwrap();
+        assert_eq!(e, CliError::Failed("invalid value for --fault-seed: 'many'".into()));
+        let missing = faults_from_args(&args(&["--faults", "/nonexistent/plan.json"]));
+        assert!(matches!(missing, Err(CliError::Failed(m)) if m.starts_with("reading fault plan")));
     }
 
     #[test]

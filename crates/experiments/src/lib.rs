@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod args;
 pub mod harness;
 pub mod report;
 pub mod timing;

@@ -35,4 +35,4 @@ pub mod server;
 
 pub use proto::{Lane, ProtoLimits};
 pub use replay::{replay, ReplayConfig, ReplayReport};
-pub use server::{Server, ServerConfig, SessionEnd};
+pub use server::{Server, ServerConfig, SessionEnd, MAX_FRAME_BYTES};

@@ -25,7 +25,9 @@
 //!
 //! Parsing is strict: unknown fields, wrong types, out-of-range gears,
 //! unsupported node counts, and oversized batches are all rejected with
-//! a structured error naming the offending field.
+//! a structured error naming the offending field. Frames longer than
+//! [`crate::MAX_FRAME_BYTES`] never reach the parser: the session skips
+//! them.
 
 use psc_faults::{FaultPlan, DEFAULT_NOISE_LEVEL};
 use psc_kernels::{Benchmark, ProblemClass};

@@ -27,7 +27,7 @@ use crate::queue::JobQueue;
 use psc_metrics::Stopwatch;
 use psc_runner::{Engine, RunCache, RunOutcome};
 use serde::Value;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -102,6 +102,12 @@ struct ServerInner {
     shutdown: AtomicBool,
 }
 
+/// The longest frame a session accepts, newline excluded. A
+/// longer frame is skipped up to its newline without being buffered and
+/// answered with one error reply, so no client can grow the server's
+/// memory by sending one huge line.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// The long-running job server. See the module docs for the shape.
 pub struct Server {
     inner: Arc<ServerInner>,
@@ -135,30 +141,50 @@ impl Server {
     /// TCP socket, or an in-memory pipe in tests). Returns how the
     /// session ended; accepted jobs may still be executing — call
     /// [`Server::drain`] to wait for them.
-    pub fn session<R: BufRead>(&self, reader: R, writer: Box<dyn Write + Send>) -> SessionEnd {
+    pub fn session<R: BufRead>(&self, mut reader: R, writer: Box<dyn Write + Send>) -> SessionEnd {
         let writer = Arc::new(ClientWriter { sink: Mutex::new(writer) });
         let limits = ProtoLimits {
             gear_count: self.inner.engine.gear_count(),
             max_batch: self.inner.config.max_batch,
         };
         let registry = self.inner.engine.metrics().registry();
+        let reject = |id: Option<&str>, message: &str| {
+            registry
+                .counter(
+                    "serve_errors_total",
+                    "Rejected protocol frames (the session survives each one).",
+                    &[],
+                )
+                .inc();
+            writer.send(&proto::error_line(id, message));
+        };
 
-        for line in reader.lines() {
-            let Ok(line) = line else { return SessionEnd::Disconnected };
+        let mut frame = Vec::new();
+        loop {
+            frame.clear();
+            let cap = MAX_FRAME_BYTES as u64 + 1; // the frame plus its newline
+            match reader.by_ref().take(cap).read_until(b'\n', &mut frame) {
+                Ok(0) | Err(_) => return SessionEnd::Disconnected,
+                Ok(_) => {}
+            }
+            if frame.len() > MAX_FRAME_BYTES && frame.last() != Some(&b'\n') {
+                if reader.skip_until(b'\n').is_err() {
+                    return SessionEnd::Disconnected;
+                }
+                reject(None, &format!("frame exceeds {MAX_FRAME_BYTES} bytes"));
+                continue;
+            }
+            let Ok(line) = std::str::from_utf8(&frame) else {
+                reject(None, "frame is not valid UTF-8");
+                continue;
+            };
             if line.trim().is_empty() {
                 continue; // blank keep-alives are not frames
             }
-            let request = match proto::parse_request(&line, limits) {
+            let request = match proto::parse_request(line, limits) {
                 Ok(r) => r,
                 Err(e) => {
-                    registry
-                        .counter(
-                            "serve_errors_total",
-                            "Rejected protocol frames (the session survives each one).",
-                            &[],
-                        )
-                        .inc();
-                    writer.send(&proto::error_line(e.id.as_deref(), &e.message));
+                    reject(e.id.as_deref(), &e.message);
                     continue; // a bad frame never poisons the loop
                 }
             };
@@ -214,7 +240,6 @@ impl Server {
                 }
             }
         }
-        SessionEnd::Disconnected
     }
 
     /// Serve stdio: one session over the given streams, then drain.

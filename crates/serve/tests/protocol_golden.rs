@@ -6,7 +6,7 @@
 
 use psc_mpi::Cluster;
 use psc_runner::{Engine, RunCache};
-use psc_serve::{Server, ServerConfig, SessionEnd};
+use psc_serve::{Server, ServerConfig, SessionEnd, MAX_FRAME_BYTES};
 use std::io::{BufReader, Cursor, Read, Write};
 use std::sync::{Arc, Mutex};
 
@@ -144,7 +144,10 @@ impl Read for DroppingReader {
 
 #[test]
 fn mid_stream_disconnect_is_a_clean_cancellation() {
-    let srv = server(ServerConfig::default());
+    // One worker runs jobs in arrival order, so the orphaned job is
+    // resolved before the second client's; with several, the second can
+    // overtake it on a loaded host and execute first.
+    let srv = server(ServerConfig { workers: 1, ..ServerConfig::default() });
 
     // Client 1 submits work, then the connection dies before it reads
     // a single reply.
@@ -229,6 +232,71 @@ fn deeply_nested_frame_is_rejected_and_the_session_survives() {
             "{\"id\":null,\"ok\":false,\"error\":\"malformed frame: serde error: nesting deeper than 128 at byte 128\"}"
                 .to_owned(),
             "{\"id\":\"n\",\"ok\":true,\"pong\":true}".to_owned(),
+        ]
+    );
+}
+
+/// Feed raw bytes through one session and return the reply lines.
+fn exchange_bytes(server: &Server, input: impl Read) -> Vec<String> {
+    let out = Capture::default();
+    server.session(BufReader::new(input), Box::new(out.clone()));
+    server.drain();
+    out.text().lines().map(str::to_owned).collect()
+}
+
+const PING: &[u8] = b"{\"id\":\"p\",\"cmd\":\"ping\"}\n";
+const PONG: &str = "{\"id\":\"p\",\"ok\":true,\"pong\":true}";
+
+/// A 100 MB frame streams past the session in bounded memory: one
+/// error reply, and the next frame on the same session is served.
+#[test]
+fn oversize_frame_is_skipped_and_the_session_survives() {
+    let srv = server(ServerConfig::default());
+    let huge = std::io::repeat(b'[').take(100 << 20);
+    let lines = exchange_bytes(&srv, huge.chain(&b"\n"[..]).chain(PING));
+    assert_eq!(
+        lines,
+        vec![
+            "{\"id\":null,\"ok\":false,\"error\":\"frame exceeds 1048576 bytes\"}".to_owned(),
+            PONG.to_owned(),
+        ]
+    );
+}
+
+/// The cap is exact: a frame of `MAX_FRAME_BYTES` is parsed, one byte
+/// more is refused.
+#[test]
+fn frame_cap_boundary_is_exact() {
+    let srv = server(ServerConfig::default());
+    let padded = |len: usize| {
+        let mut frame = PING[..PING.len() - 1].to_vec();
+        frame.resize(len, b' ');
+        frame.push(b'\n');
+        frame
+    };
+    let input = [padded(MAX_FRAME_BYTES), padded(MAX_FRAME_BYTES + 1), PING.to_vec()].concat();
+    let lines = exchange_bytes(&srv, Cursor::new(input));
+    assert_eq!(
+        lines,
+        vec![
+            PONG.to_owned(),
+            "{\"id\":null,\"ok\":false,\"error\":\"frame exceeds 1048576 bytes\"}".to_owned(),
+            PONG.to_owned(),
+        ]
+    );
+}
+
+/// A frame that is not UTF-8 is an ordinary bad frame, not a
+/// disconnect.
+#[test]
+fn non_utf8_frame_is_rejected_and_the_session_survives() {
+    let srv = server(ServerConfig::default());
+    let lines = exchange_bytes(&srv, Cursor::new([&b"{\"id\":\"\xff\"}\n"[..], PING].concat()));
+    assert_eq!(
+        lines,
+        vec![
+            "{\"id\":null,\"ok\":false,\"error\":\"frame is not valid UTF-8\"}".to_owned(),
+            PONG.to_owned(),
         ]
     );
 }

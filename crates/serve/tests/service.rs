@@ -75,10 +75,10 @@ fn cumulative_stats_survive_engine_window_reset() {
     let batch = "{\"id\":\"w1\",\"cmd\":\"run\",\"lane\":\"interactive\",\"specs\":[{\"bench\":\"EP\",\"gears\":1},{\"bench\":\"EP\",\"gears\":1},{\"bench\":\"EP\",\"gears\":2}]}\n";
     let out = Capture::default();
     srv.session(Cursor::new(batch.as_bytes()), Box::new(out.clone()));
-    // Wait for the window's work without tearing the pool down.
-    while engine.metrics().snapshot().get("engine_runs_simulated", &[]).map_or(0.0, |s| s.scalar())
-        < 2.0
-    {
+    // Wait for the window's work without tearing the pool down: the
+    // `done` line follows every spec's reply and counter update (two
+    // simulations can finish before the duplicate spec is answered).
+    while !String::from_utf8_lossy(&out.0.lock().unwrap()).contains("\"done\":true") {
         std::thread::yield_now();
     }
 
